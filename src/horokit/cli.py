@@ -18,14 +18,12 @@ Root tokens are "(factor_index, aK)" with Bourbaki numbering, or
 "(factor_index, triv)" for the trivial root of a C*/{1} factor.  Unknown
 keys are rejected.  Exact rationals appear in outputs as "p/q" strings.
 
-Exit codes: 0 ok, 1 domain failure, 2 input error.  The environment
-variable HOROKIT_THREADS (>= 1) caps worker parallelism; the computation
-is deterministic and never uses more threads than the cap.
+Exit codes: 0 ok, 1 domain failure, 2 input error.  A field of the wrong
+type, or a document that does not describe a valid spec, is an input error.
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -43,20 +41,39 @@ class InputError(Exception):
     pass
 
 
-def _threads():
-    raw = os.environ.get("HOROKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError("HOROKIT_THREADS must be an integer")
-    if cap < 1:
-        raise InputError("HOROKIT_THREADS must be >= 1")
-    return cap
-
-
 _SPEC_KEYS = {"group", "kind", "beta", "alphas", "a", "m_basis", "colors", "cones"}
+
+
+def _strings(v):
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _ints(v):
+    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool)
+                                       for x in v)
+
+
+def _vectors(v):
+    return isinstance(v, list) and all(map(_ints, v))
+
+
+def _cones(v):
+    return isinstance(v, list) and all(
+        isinstance(c, dict) and _vectors(c.get("generators", []))
+        and _strings(c.get("colors", [])) for c in v)
+
+
+# key -> (type test, what the value must be)
+_FIELD_TYPES = {
+    "group": (lambda v: isinstance(v, str) or _strings(v),
+              "a string or a list of strings"),
+    "beta": (lambda v: isinstance(v, str), "a string"),
+    "alphas": (_strings, "a list of strings"),
+    "colors": (_strings, "a list of strings"),
+    "a": (_ints, "a list of integers"),
+    "m_basis": (_vectors, "a list of integer vectors"),
+    "cones": (_cones, "a list of cones with integer generators and string colors"),
+}
 
 
 def load_spec(path):
@@ -76,6 +93,16 @@ def load_spec(path):
         raise InputError(f"unknown keys: {sorted(unknown)}")
     if "group" not in doc or "kind" not in doc:
         raise InputError("spec needs 'group' and 'kind'")
+    for key, (test, what) in _FIELD_TYPES.items():
+        if key in doc and not test(doc[key]):
+            raise InputError(f"'{key}' must be {what}")
+    try:
+        return _spec_from_doc(doc)
+    except (HorokitError, ValueError, TypeError, LookupError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _spec_from_doc(doc):
     group_field = doc["group"]
     text = group_field if isinstance(group_field, str) else " x ".join(group_field)
     G, relabels = parse_group(text)
@@ -284,7 +311,6 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        _threads()
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

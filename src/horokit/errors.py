@@ -79,7 +79,3 @@ class SpecInvariantViolated(HorokitError):
 
 class NotSmoothInput(HorokitError):
     pass
-
-
-class DegenerateBranch(HorokitError):
-    pass

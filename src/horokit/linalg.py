@@ -88,53 +88,6 @@ def solve(rows, rhs):
     return tuple(x)
 
 
-def solve_two(rows, rhs1, rhs2):
-    """Solve a square system against two right-hand sides in one pass.
-
-    Returns (x1, x2) or None when the matrix is singular.
-    """
-    n = len(rows)
-    m = [list(map(frac, r)) + [frac(a), frac(b)]
-         for r, a, b in zip(rows, rhs1, rhs2)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(r[n] for r in m), tuple(r[n + 1] for r in m)
-
-
-def nullspace(rows):
-    """Basis of the kernel of A (list of vectors)."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve_unique(rows, rhs):
-    """Solution of a square system with invertible matrix, else None."""
-    n = len(rows[0]) if rows else 0
-    if len(rows) != n or rank(rows) != n:
-        return None
-    return solve(rows, rhs)
-
-
 def int_rows(rows, rhs):
     """Scale each row of (A | b) by a positive rational to integer entries."""
     out_a, out_b = [], []

@@ -4,10 +4,14 @@ polytopes Q~(eps) = {x : A x >= B + eps C}, exact breakpoint detection and
 classification (flip / divisorial contraction / terminal fibration), fiber
 records, and the closed-form predictions for the two standard families.
 
-Everything is exact: candidate breakpoints come from square tight-row
-systems (vertices are affine in eps) and from margin systems (the strict
-feasibility value is concave piecewise linear in eps), and face signatures
-are compared after pruning redundant G-stable rows, never color rows.
+Everything is exact and rests on two vertex tables (`polyhedra.vertex_table`)
+built once per family: one of the family itself, whose points and row
+slacks are affine in eps, and one of its margin system, whose strict
+feasibility value is concave piecewise linear in eps.  Candidate breakpoints
+are the roots of those affine slacks and margins; at a given eps every
+feasibility test is an integer sign test.  Faces are the active-set masks
+closed under `polyhedra.closure_masks`, and signatures are compared after
+pruning redundant G-stable rows, never color rows.
 """
 
 from dataclasses import dataclass
@@ -19,8 +23,9 @@ from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_fu
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
                      NotRestrictedForm, PreconditionViolated)
 from .horo import sigma
-from .linalg import dot, frac, solve_two
-from .polyhedra import signature_closure
+from .linalg import dot, frac
+from .polyhedra import (InequalitySystem, closure_masks, face_of, feasible_at,
+                        mask_of, rows_of, vertex_table)
 from .quadruple import AdmissibleQuadruple
 from .rootdata import coroot_pairing, flag_dimension
 
@@ -80,100 +85,38 @@ class MMPFamily:
     # -- parametric vertex preprocessing -----------------------------------
 
     def _vertices(self):
-        """Per invertible tight square system: point p + eps q and the affine
-        slack (u_r + eps v_r) of every row at it."""
-        if self._vertex_data is not None:
-            return self._vertex_data
-        out = []
-        n = self.n
-        if n == 0:
-            self._vertex_data = []
-            return self._vertex_data
-        for sub in combinations(range(self.m), n):
-            mat = [self.A[i] for i in sub]
-            sol = solve_two(mat, [self.B[i] for i in sub],
-                            [self.C[i] for i in sub])
-            if sol is None:
-                continue
-            p, qv = sol
-            slacks = []
-            for r in range(self.m):
-                u = dot(self.A[r], p) - self.B[r]
-                v = dot(self.A[r], qv) - self.C[r]
-                slacks.append((u, v))
-            out.append((sub, p, qv, tuple(slacks)))
-        self._vertex_data = out
-        return out
+        """The vertex table of the family: one entry per invertible square
+        subsystem, with its point and every row slack affine in eps."""
+        if self._vertex_data is None:
+            self._vertex_data = vertex_table(self.A, self.B, self.C)
+        return self._vertex_data
 
     def points_at(self, eps, keep=None):
         """Distinct feasible candidate points at eps with their active rows,
         restricted to the kept rows."""
-        keep = frozenset(range(self.m)) if keep is None else frozenset(keep)
-        eps = frac(eps)
-        seen = {}
-        for sub, p, qv, slacks in self._vertices():
-            if any(i not in keep for i in sub):
-                continue
-            active = []
-            ok = True
-            for r in sorted(keep):
-                s = slacks[r][0] + eps * slacks[r][1]
-                if s < 0:
-                    ok = False
-                    break
-                if s == 0:
-                    active.append(r)
-            if not ok:
-                continue
-            pt = tuple(a + eps * b for a, b in zip(p, qv))
-            cur = seen.get(pt)
-            if cur is None:
-                seen[pt] = frozenset(active)
-        return sorted(seen.items())
+        keep = None if keep is None else mask_of(keep)
+        found = feasible_at(self._vertices(), eps, keep)
+        return sorted((e.point(eps), rows_of(mask)) for mask, e in found.items())
 
     def _lifted(self):
-        """Parametric vertices of the margin system {A x - t >= B + eps C,
-        t <= 1}: the strict-feasibility value max t is read off these."""
-        if self._lifted_data is not None:
-            return self._lifted_data
-        rows = [tuple(row) + (Fraction(-1),) for row in self.A]
-        rows.append(tuple([Fraction(0)] * self.n) + (Fraction(1),))
-        bs = list(self.B) + [Fraction(-1)]
-        cs = list(self.C) + [Fraction(0)]
-        # t <= 1 is the row -t >= -1, i.e. (0,...,0,-1) . (x,t) >= -1
-        rows[-1] = tuple([Fraction(0)] * self.n) + (Fraction(-1),)
-        out = []
-        k = self.n + 1
-        for sub in combinations(range(len(rows)), k):
-            mat = [rows[i] for i in sub]
-            sol = solve_two(mat, [bs[i] for i in sub], [cs[i] for i in sub])
-            if sol is None:
-                continue
-            p, qv = sol
-            slacks = []
-            for r in range(len(rows)):
-                u = dot(rows[r], p) - bs[r]
-                v = dot(rows[r], qv) - cs[r]
-                slacks.append((u, v))
-            out.append((p[-1], qv[-1], tuple(slacks)))
-        self._lifted_data = out
-        return out
+        """Vertex table of the margin system {A x - t >= B + eps C, t <= 1}:
+        the strict-feasibility value max t is read off these."""
+        if self._lifted_data is None:
+            # t <= 1 is the row -t >= -1, i.e. (0,...,0,-1) . (x,t) >= -1
+            rows = [row + (-1,) for row in self.A] + [(0,) * self.n + (-1,)]
+            self._lifted_data = vertex_table(rows, self.B + (-1,), self.C + (0,))
+        return self._lifted_data
 
     def margin_value(self, eps):
         """Exact max t with A x >= B + eps C + t, t <= 1 (None: infeasible)."""
         eps = frac(eps)
+        p, q = eps.numerator, eps.denominator
         best = None
-        for tp, tq, slacks in self._lifted():
-            ok = True
-            for u, v in slacks:
-                if u + eps * v < 0:
-                    ok = False
-                    break
-            if ok:
-                t = tp + eps * tq
-                if best is None or t > best:
-                    best = t
-        return best
+        for e in feasible_at(self._lifted(), eps).values():
+            t = (e.P[-1] * q + e.Q[-1] * p, e.den)
+            if best is None or t[0] * best[1] > best[0] * t[1]:
+                best = t
+        return None if best is None else Fraction(best[0], best[1] * q)
 
     def _row_can_escape(self, r, keep):
         """Is the slack of row r unbounded below on the relaxation without r?
@@ -191,6 +134,8 @@ class MMPFamily:
 
     def pruned_rows_at(self, eps):
         """Redundant G-stable rows at eps, dropped greedily by index."""
+        eps = frac(eps)
+        p, q = eps.numerator, eps.denominator
         keep = set(range(self.m))
         pruned = set()
         changed = True
@@ -199,19 +144,11 @@ class MMPFamily:
             for r in sorted(keep):
                 if self.tags[r][0] != "x":
                     continue
-                rest = frozenset(keep - {r})
                 if self._row_can_escape(r, frozenset(keep)):
                     continue
-                pts = self.points_at(eps, keep=rest)
-                if not pts:
-                    continue
-                ok = True
-                for pt, _ in pts:
-                    s = dot(self.A[r], pt) - (self.B[r] + frac(eps) * self.C[r])
-                    if s < 0:
-                        ok = False
-                        break
-                if ok:
+                found = feasible_at(self._vertices(), eps, mask_of(keep - {r}))
+                if found and all(e.U[r] * q + e.V[r] * p >= 0
+                                 for e in found.values()):
                     keep.discard(r)
                     pruned.add(r)
                     changed = True
@@ -220,41 +157,15 @@ class MMPFamily:
 
     def signatures_at(self, eps, prune=True):
         """Canonical face-signature set at eps (pruned of redundant rows)."""
-        if prune:
-            _, keep = self.pruned_rows_at(eps)
-        else:
-            keep = frozenset(range(self.m))
-        pts = self.points_at(eps, keep=keep)
-        if not pts:
-            return frozenset()
-        return frozenset(signature_closure(pts))
+        keep = mask_of(self.pruned_rows_at(eps)[1]) if prune else None
+        found = feasible_at(self._vertices(), eps, keep)
+        return frozenset(rows_of(sig) for sig in closure_masks(found))
 
     def signature_masks_at(self, eps):
         """Unpruned face signatures as row bitmasks (fast comparison path)."""
-        eps = frac(eps)
-        allmask = (1 << self.m) - 1
-        seen = {}
-        for sub, p, qv, slacks in self._vertices():
-            mask = 0
-            ok = True
-            for r in range(self.m):
-                u, v = slacks[r]
-                s = u + eps * v
-                if s < 0:
-                    ok = False
-                    break
-                if s == 0:
-                    mask |= 1 << r
-            if ok:
-                pt = tuple(a + eps * b for a, b in zip(p, qv))
-                seen.setdefault(pt, mask)
-        if not seen:
-            return frozenset()
-        from .polyhedra import closure_masks
-        return frozenset(m & allmask for m in closure_masks(list(seen.values())))
+        return frozenset(closure_masks(feasible_at(self._vertices(), eps)))
 
     def system_at(self, eps):
-        from .polyhedra import InequalitySystem
         eps = frac(eps)
         return InequalitySystem(self.A,
                                 tuple(b + eps * c for b, c in zip(self.B, self.C)),
@@ -299,17 +210,13 @@ def critical_epsilons(fam):
     if not fam.admissible(0):
         raise DegenerateFamily("the family is not admissible at eps = 0")
     cands = set()
-    for sub, p, qv, slacks in fam._vertices():
-        for u, v in slacks:
-            if v != 0:
-                root = -u / v
-                if root > 0:
-                    cands.add(root)
-    for tp, tq, slacks in fam._lifted():
-        if tq != 0:
-            root = -tp / tq
-            if root > 0:
-                cands.add(root)
+    for e in fam._vertices():
+        for u, v in zip(e.U, e.V):
+            if u * v < 0:
+                cands.add(Fraction(-u, v))
+    for e in fam._lifted():
+        if e.P[-1] * e.Q[-1] < 0:
+            cands.add(Fraction(-e.P[-1], e.Q[-1]))
     cands = sorted(cands)
     eps_max = None
     for c in cands:
@@ -406,26 +313,15 @@ def general_fiber(fam, eps_below, eps_max):
     tgt_pts = fam.points_at(eps_max)
     if not tgt_pts:
         raise NoMaximalPreimage("the terminal polytope is empty")
-    src_faces = signature_closure(src_pts)
-    tgt_faces = signature_closure(tgt_pts)
-
-    def target_of(sig):
-        members = [act for _, act in tgt_pts if act >= sig]
-        if not members:
-            return None
-        out = members[0]
-        for a in members[1:]:
-            out = out & a
-        return out
-
+    tgt_masks = [mask_of(act) for _, act in tgt_pts]
     preimages = {}
-    for sig in src_faces:
-        tgt = target_of(sig)
+    for sig in closure_masks(mask_of(act) for _, act in src_pts):
+        tgt = face_of(tgt_masks, sig)
         if tgt is None:
-            raise NoMaximalPreimage(f"face {sorted(sig)} has empty image")
-        preimages.setdefault(tgt, []).append(sig)
+            raise NoMaximalPreimage(f"face {sorted(rows_of(sig))} has empty image")
+        preimages.setdefault(rows_of(tgt), []).append(rows_of(sig))
     records = []
-    for tgt_sig in sorted(tgt_faces, key=lambda s: sorted(s)):
+    for tgt_sig in sorted(map(rows_of, closure_masks(tgt_masks)), key=sorted):
         pre = preimages.get(tgt_sig, [])
         if not pre:
             raise NoMaximalPreimage("fibration misses a target orbit")
@@ -470,22 +366,12 @@ def run_log_mmp(X, D, Delta):
 
 
 def _face_map_rows(fam, eps_src, eps_tgt):
-    src_pts = fam.points_at(eps_src)
-    tgt_pts = fam.points_at(eps_tgt)
-
-    def target_of(sig):
-        members = [act for _, act in tgt_pts if act >= sig]
-        if not members:
-            return None
-        out = members[0]
-        for a in members[1:]:
-            out = out & a
-        return out
-
+    tgt_masks = list(feasible_at(fam._vertices(), eps_tgt))
     out = []
-    for sig in sorted(signature_closure(src_pts), key=lambda s: sorted(s)):
-        out.append((sig, target_of(sig)))
-    return tuple(out)
+    for sig in closure_masks(feasible_at(fam._vertices(), eps_src)):
+        tgt = face_of(tgt_masks, sig)
+        out.append((rows_of(sig), None if tgt is None else rows_of(tgt)))
+    return tuple(sorted(out, key=lambda pair: sorted(pair[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,24 @@
 Exact rational polytopes presented as {x : A x >= b}.
 
 Faces are identified by their signature: the maximal set of rows that hold
-with equality on the whole face.  Enumeration goes through basic points
-(square subsystems solved by integer Cramer) followed by an intersection
-closure of vertex signatures; everything stays in exact arithmetic.
+with equality on the whole face.  One vertex table serves both the static
+systems here and the parametric family {A x >= B + eps C} of `mmp`: every
+invertible square subsystem solved fraction-free (Bareiss), with its point
+and all row slacks as integer numerators over one positive denominator, so
+that feasibility at any eps is an integer sign test.  Vertices are the
+feasible entries, keyed by their active rows as bitmasks, and faces are the
+intersection closure of those masks; everything stays in exact arithmetic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
+from typing import NamedTuple
 
 from . import lp
 from .errors import EmptyPolytope, UnboundedPolyhedron
-from .linalg import affine_dim, det_int, frac, int_rows, rank
+from .linalg import affine_dim, frac, int_rows, rank
 
 GSTABLE = "x"
 COLOR = "color"
@@ -73,46 +79,130 @@ class FaceSignature:
     dim: int
 
 
+class BasicSolution(NamedTuple):
+    """One invertible square subsystem of A x >= B + eps C, fraction-free.
+
+    Its point is (P + eps Q) / den, and row r has slack (U[r] + eps V[r]) / den
+    there, on the row scaled to integers.  As den > 0, the sign of that slack
+    at eps = p/q (q > 0) is the sign of the integer U[r] q + V[r] p.
+    """
+
+    basis: int      # mask of the rows of the subsystem
+    den: int
+    P: tuple
+    Q: tuple
+    U: tuple
+    V: tuple
+
+    def point(self, eps=0):
+        eps = frac(eps)
+        p, q = eps.numerator, eps.denominator
+        return tuple([Fraction(x * q + y * p, self.den * q)
+                      for x, y in zip(self.P, self.Q)])
+
+
+def _gauss_jordan(mat, n):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on the leading n
+    columns of the n integer rows of mat, in place.
+
+    Returns the last pivot, which is +-det of the leading block, or 0 when
+    that block is singular.  Afterwards the block is pivot * I and every
+    further column holds pivot times the solution against it.  Each entry
+    stays a minor of the input, so every division is exact.
+    """
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
+        if piv is None:
+            return 0
+        mat[k], mat[piv] = mat[piv], mat[k]
+        top = mat[k]
+        d = top[k]
+        for i in range(n):
+            if i != k:
+                f = mat[i][k]
+                mat[i] = [(d * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = d
+    return prev
+
+
+def vertex_table(A, B, C=None):
+    """One BasicSolution per invertible square subsystem of
+    {x : A x >= B + eps C}, in the order of itertools.combinations.
+
+    Each row [A_r | B_r] is scaled to integers together with C_r; C defaults
+    to zero, a static system.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows, cs = int_rows([tuple(a) + (b,) for a, b in zip(A, B)],
+                        [0] * m if C is None else C)
+    out = []
+    for sub in combinations(range(m), n):
+        mat = [list(rows[i]) + [cs[i]] for i in sub]
+        det = _gauss_jordan(mat, n)
+        if not det:
+            continue
+        sign = 1 if det > 0 else -1
+        den = sign * det
+        # lists, not generator expressions, inside tuple(): on CPython 3.11
+        # the generators raised the peak RSS of a face-lattice sweep by ~1 MB
+        P = tuple([sign * row[n] for row in mat])
+        Q = tuple([sign * row[n + 1] for row in mat])
+        Pb = P + (-den,)
+        U = tuple([sum(map(mul, row, Pb)) for row in rows])
+        V = tuple([sum(map(mul, row, Q)) - den * c for row, c in zip(rows, cs)])
+        out.append(BasicSolution(mask_of(sub), den, P, Q, U, V))
+    return out
+
+
+def feasible_at(table, eps=0, keep=None):
+    """The entries of a vertex table that are feasible at eps, one per
+    active set: {active row mask: entry}.
+
+    keep (a row mask, all rows by default) restricts the system: only its
+    rows are tested, and only entries whose basis lies inside it are read.
+    A feasible basic point is determined by its active set, so the masks
+    stand for distinct points.
+    """
+    eps = frac(eps)
+    p, q = eps.numerator, eps.denominator
+    keep = -1 if keep is None else keep
+    out = {}
+    if not table:
+        return out
+    rows = [r for r in range(len(table[0].U)) if keep >> r & 1]
+    for e in table:
+        if e.basis & ~keep:
+            continue
+        U, V = e.U, e.V
+        slack = [U[r] * q + V[r] * p for r in rows]
+        if slack and min(slack) < 0:
+            continue
+        mask = 0
+        for r, s in zip(rows, slack):
+            if not s:
+                mask |= 1 << r
+        out.setdefault(mask, e)
+    return out
+
+
+def mask_of(rows):
+    return sum([1 << r for r in rows])
+
+
+def rows_of(mask):
+    return frozenset([r for r in range(mask.bit_length()) if mask >> r & 1])
+
+
 def basic_points(A, b):
     """Basic feasible points of {Ax >= b} with their full active sets.
 
-    Returns a list of (point, active) pairs, one per distinct point; every
-    vertex of the (pointed) feasible region appears.  Uses integer Cramer
-    solves on row-scaled data.
+    Returns a sorted list of (point, active) pairs, one per distinct point;
+    every vertex of the (pointed) feasible region appears.
     """
-    n = len(A[0]) if A else 0
-    m = len(A)
-    ai, bi = int_rows(A, b)
-    if n == 0:
-        if all(v <= 0 for v in bi):
-            return [((), frozenset(i for i in range(m) if bi[i] == 0))]
-        return []
-    seen = {}
-    for subset in combinations(range(m), n):
-        mat = [ai[i] for i in subset]
-        det = det_int(mat)
-        if det == 0:
-            continue
-        rhs = [bi[i] for i in subset]
-        coords = []
-        for j in range(n):
-            colmat = [row[:j] + (rhs[k],) + row[j + 1:] for k, row in enumerate(mat)]
-            coords.append(Fraction(det_int(colmat), det))
-        pt = tuple(coords)
-        if pt in seen:
-            continue
-        active = []
-        ok = True
-        for i in range(m):
-            s = sum(ai[i][j] * pt[j] for j in range(n)) - bi[i]
-            if s < 0:
-                ok = False
-                break
-            if s == 0:
-                active.append(i)
-        if ok:
-            seen[pt] = frozenset(active)
-    return sorted(seen.items())
+    found = feasible_at(vertex_table(A, b))
+    return sorted((e.point(), rows_of(mask)) for mask, e in found.items())
 
 
 def is_feasible(system):
@@ -133,18 +223,13 @@ def polytope_dim(system):
 
 
 def _is_bounded(system):
-    """Bounded iff the recession cone {Ax >= 0} is {0}."""
-    n = system.dim
-    if n == 0:
-        return True
-    zero = [Fraction(0)] * len(system.A)
-    for j in range(n):
-        for sign in (1, -1):
-            unit = [Fraction(0)] * n
-            unit[j] = Fraction(sign)
-            if lp.feasible(system.A, zero, a_eq=[unit], b_eq=[Fraction(1)]):
-                return False
-    return True
+    """Bounded iff the recession cone {A d >= 0} is {0}, that is iff the
+    origin is the only basic point of {A d >= 0, (sum of the rows) d <= 1}.
+    Without any basic point A has rank below n: the region holds a line."""
+    A = system.A
+    total = tuple([-sum(col) for col in zip(*A)])
+    found = feasible_at(vertex_table(A + (total,), (0,) * len(A) + (-1,)))
+    return len(found) == 1
 
 
 def vertices(system):
@@ -156,101 +241,53 @@ def vertices(system):
     return [pt for pt, _ in basic_points(system.A, system.b)]
 
 
-def signature_closure(points):
-    """All face signatures generated by vertex active sets.
-
-    points: list of (point, active) pairs of the vertices.  Returns a dict
-    signature -> dim.  Every face of a bounded region is the convex hull of
-    the vertices whose active set contains its signature.
-    """
-    acts = [a for _, a in points]
-    pts = [p for p, _ in points]
-
-    def maximalize(T):
-        members = [a for a in acts if a >= T]
-        out = members[0]
-        for a in members[1:]:
-            out = out & a
-        return out
-
-    sigs = set(acts)
-    full = acts[0]
-    for a in acts[1:]:
-        full = full & a
-    sigs.add(full)
-    frontier = set(sigs)
-    while frontier:
-        new = set()
-        for s in frontier:
-            for t in sigs:
-                u = s & t
-                if u not in sigs:
-                    u = maximalize(u)
-                    if u not in sigs:
-                        new.add(u)
-        sigs |= new
-        frontier = new
-    out = {}
-    for s in sigs:
-        members = [p for p, a in zip(pts, acts) if a >= s]
-        out[s] = affine_dim(members)
-    return out
-
-
 def closure_masks(masks):
     """Intersection closure of vertex active sets given as bitmasks.
 
-    Returns the set of all face signatures (as masks), the fast path behind
-    the parametric sweep.
+    Returns the set of all face signatures as masks.  Every face of a
+    bounded region is the convex hull of the vertices whose active sets
+    contain its signature, and that signature is their intersection.
     """
     acts = list(dict.fromkeys(masks))
-    full = acts[0]
-    for a in acts[1:]:
-        full &= a
     sigs = set(acts)
-    sigs.add(full)
-    frontier = list(sigs)
+    frontier = acts
     while frontier:
         new = []
         for s in frontier:
             for t in acts:
                 u = s & t
                 if u not in sigs:
-                    w = ~0
-                    for a in acts:
-                        if a & u == u:
-                            w &= a
-                    if w not in sigs:
-                        sigs.add(w)
-                        new.append(w)
+                    sigs.add(u)
+                    new.append(u)
         frontier = new
     return sigs
 
 
+def face_of(masks, rows):
+    """Signature of the smallest face on which the rows (a mask) are tight:
+    the meet of the vertex active sets that contain them, None if none does."""
+    out = None
+    for a in masks:
+        if a & rows == rows:
+            out = a if out is None else out & a
+    return out
+
+
 def face_lattice(system):
     """Every nonempty face as a FaceSignature, full polytope included."""
-    pts = basic_points(system.A, system.b)
-    if not pts:
+    found = feasible_at(vertex_table(system.A, system.b))
+    if not found:
         if is_feasible(system):
             raise UnboundedPolyhedron("no basic points: region is not pointed")
         raise EmptyPolytope("feasible set is empty")
     if not _is_bounded(system):
         raise UnboundedPolyhedron("feasible set has a nonzero recession cone")
-    sigs = signature_closure(pts)
-    return sorted((FaceSignature(s, d) for s, d in sigs.items()),
-                  key=lambda f: (-f.dim, sorted(f.active_rows)))
-
-
-def face_signatures(A, b):
-    """Signature -> dim map for a bounded system, no validity checks.
-
-    Fast path used by the parametric sweep; the caller guarantees the region
-    is a (possibly lower-dimensional) nonempty polytope.
-    """
-    pts = basic_points(A, b)
-    if not pts:
-        return {}
-    return signature_closure(pts)
+    pts = {mask: e.point() for mask, e in found.items()}
+    faces = []
+    for sig in closure_masks(pts):
+        members = [pt for mask, pt in pts.items() if mask & sig == sig]
+        faces.append(FaceSignature(rows_of(sig), affine_dim(members)))
+    return sorted(faces, key=lambda f: (-f.dim, sorted(f.active_rows)))
 
 
 def redundant_rows(system):

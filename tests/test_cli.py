@@ -95,13 +95,13 @@ def test_cmd_appendix():
     assert cli.main(["appendix", "--family", "B", "--max-rank", "5"]) == 0
 
 
-def test_threads_env_validated(tmp_path, monkeypatch):
-    f = tmp_path / "w3.json"
-    f.write_text(json.dumps(W3))
-    monkeypatch.setenv("HOROKIT_THREADS", "0")
-    assert cli.main(["check", str(f)]) == 2
-    monkeypatch.setenv("HOROKIT_THREADS", "4")
-    assert cli.main(["check", str(f)]) == 0
+def test_wrong_field_types_exit_2(tmp_path):
+    # each of these used to escape as a traceback or exit 1
+    for i, patch in enumerate(({"group": 5}, {"a": ["x", 2, 3]},
+                               {"alphas": "(1,triv)"})):
+        f = tmp_path / f"bad{i}.json"
+        f.write_text(json.dumps(W3 | patch))
+        assert cli.main(["check", str(f)]) == 2, patch
 
 
 def test_subprocess_entry_point(tmp_path):

@@ -206,6 +206,21 @@ def test_faces_match_engine_on_shapes():
             assert fam.signatures_at(eps, prune=False) == frozenset(pred)
 
 
+def test_parametric_path_matches_static_path():
+    from horokit import polyhedra as ph
+    for spec, X in (x1(*CHAIN_012_COLORED), x1(*CHAIN_001_TRIVIAL),
+                    x2(GroupProduct((TRIVIAL_FACTOR, SL(2), Spin(7))),
+                       (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))):
+        tr = canonical_run(X)
+        fam = tr.family
+        # breakpoints and eps_max are among the samples
+        for eps in (tr.eps_max * F(j, 6) for j in range(7)):
+            S = fam.system_at(eps)
+            assert fam.signatures_at(eps, prune=False) == \
+                frozenset(f.active_rows for f in ph.face_lattice(S))
+            assert fam.points_at(eps) == ph.basic_points(S.A, S.b)
+
+
 def test_predict_trace_skeletons():
     spec, _ = x1(*CHAIN_012_TRIVIAL)
     sk = mmp.predict_trace_case1(spec)

@@ -32,6 +32,26 @@ def test_vertices_examples():
         ph.vertices(ph.InequalitySystem(((1, 0), (0, 1)), (0, 0)))
 
 
+def test_boundedness_read_off_the_vertex_table():
+    unbounded = [
+        # a strip holds a line and has no basic point
+        ph.InequalitySystem(((1, 0), (-1, 0)), (0, -1)),
+        # a half-plane
+        ph.InequalitySystem(((1, 1),), (0,)),
+        # one vertex, unbounded along one ray
+        ph.InequalitySystem(((0, 1), (0, -1), (1, 0)), (0, 0, 0)),
+    ]
+    for S in unbounded:
+        with pytest.raises(UnboundedPolyhedron):
+            ph.vertices(S)
+        with pytest.raises(UnboundedPolyhedron):
+            ph.face_lattice(S)
+    # a segment in the plane is bounded, though of lower dimension
+    seg = ph.InequalitySystem(((0, 1), (0, -1), (1, 0), (-1, 0)), (0, 0, 0, -1))
+    assert ph.vertices(seg) == [(F(0), F(0)), (F(1), F(0))]
+    assert sorted(f.dim for f in ph.face_lattice(seg)) == [0, 0, 1]
+
+
 def test_face_lattice_examples():
     faces = ph.face_lattice(SIMPLEX2)
     assert len(faces) == 7

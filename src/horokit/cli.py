@@ -133,6 +133,8 @@ def _spec_from_doc(doc):
             extra = set(c) - {"generators", "colors"}
             if extra:
                 raise InputError(f"unknown cone keys: {sorted(extra)}")
+            if any(len(g) != hs.rank for g in c.get("generators", ())):
+                raise InputError(f"cone generators need {hs.rank} entries")
             cones.append(horo.ColoredCone(
                 tuple(tuple(g) for g in c.get("generators", ())),
                 frozenset(parse_root(t, relabels) for t in c.get("colors", ()))))

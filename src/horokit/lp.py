@@ -1,10 +1,12 @@
 """
 Exact two-phase simplex over the rationals.
 
-This is the single decision kernel behind every feasibility, redundancy,
-strictness and boundedness test in the package: no floating point, Bland's
-rule throughout (no cycling).  Problem sizes are tiny (tens of variables),
-so a dense tableau is the simplest correct choice.
+It serves the fan geometry of `horo` (cone membership, pointedness, faces
+and overlaps of cones) and the emptiness test `polyhedra.is_feasible`;
+every other polytope question reads the vertex table of `polyhedra`.  No
+floating point, Bland's rule throughout (no cycling).  Problem sizes are
+tiny (tens of variables), so a dense tableau is the simplest correct
+choice.
 """
 
 from fractions import Fraction
@@ -157,44 +159,11 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True, nonne
     return LPResult(OPTIMAL, value, x)
 
 
-def feasible(a_ge, b_ge, a_eq=(), b_eq=()):
-    """Is {x : a_ge x >= b_ge, a_eq x = b_eq} nonempty?"""
-    n = len(a_ge[0]) if a_ge else (len(a_eq[0]) if a_eq else 0)
-    res = solve_lp([0] * n,
-                   a_ub=[[-v for v in r] for r in a_ge], b_ub=[-b for b in b_ge],
-                   a_eq=a_eq, b_eq=b_eq)
+def feasible(a_ge, b_ge):
+    """Is {x : a_ge x >= b_ge} nonempty?"""
+    res = solve_lp([0] * len(a_ge[0]),
+                   a_ub=[[-v for v in r] for r in a_ge], b_ub=[-b for b in b_ge])
     return res.status == OPTIMAL
-
-
-def strict_margin(a_ge, b_ge, strict_rows=None):
-    """max t (capped at 1) with a_ge x >= b_ge + t on the selected rows.
-
-    Rows outside strict_rows keep their weak inequality.  Returns the exact
-    optimum, or None if even the weak system is infeasible.
-    """
-    m = len(a_ge)
-    n = len(a_ge[0]) if a_ge else 0
-    sel = set(range(m)) if strict_rows is None else set(strict_rows)
-    a_ub, b_ub = [], []
-    for i in range(m):
-        trow = [-frac(v) for v in a_ge[i]]
-        trow.append(Fraction(1) if i in sel else Fraction(0))
-        a_ub.append(trow)
-        b_ub.append(-frac(b_ge[i]))
-    a_ub.append([Fraction(0)] * n + [Fraction(1)])
-    b_ub.append(Fraction(1))
-    res = solve_lp([0] * n + [1], a_ub=a_ub, b_ub=b_ub, maximize=True)
-    if res.status != OPTIMAL:
-        return None
-    return res.value
-
-
-def optimize_over(objective, a_ge, b_ge, maximize=True):
-    """Optimize a linear functional over {x : a_ge x >= b_ge}."""
-    return solve_lp(objective,
-                    a_ub=[[-v for v in r] for r in a_ge],
-                    b_ub=[-b for b in b_ge],
-                    maximize=maximize)
 
 
 def in_cone(generators, target):

@@ -18,16 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import lp
 from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
                      NotRestrictedForm, PreconditionViolated)
-from .horo import sigma
-from .linalg import dot, frac
+from .linalg import frac
 from .polyhedra import (InequalitySystem, closure_masks, face_of, feasible_at,
-                        mask_of, rows_of, vertex_table)
-from .quadruple import AdmissibleQuadruple
-from .rootdata import coroot_pairing, flag_dimension
+                        margin_at, margin_table, mask_of, row_is_redundant,
+                        rows_of, vertex_table)
+from .quadruple import AdmissibleQuadruple, face_orbit
 
 FLIP = "Flip"
 DIVISORIAL = "DivisorialContraction"
@@ -102,58 +100,27 @@ class MMPFamily:
         """Vertex table of the margin system {A x - t >= B + eps C, t <= 1}:
         the strict-feasibility value max t is read off these."""
         if self._lifted_data is None:
-            # t <= 1 is the row -t >= -1, i.e. (0,...,0,-1) . (x,t) >= -1
-            rows = [row + (-1,) for row in self.A] + [(0,) * self.n + (-1,)]
-            self._lifted_data = vertex_table(rows, self.B + (-1,), self.C + (0,))
+            self._lifted_data = margin_table(self.A, self.B, self.C)
         return self._lifted_data
 
     def margin_value(self, eps):
         """Exact max t with A x >= B + eps C + t, t <= 1 (None: infeasible)."""
-        eps = frac(eps)
-        p, q = eps.numerator, eps.denominator
-        best = None
-        for e in feasible_at(self._lifted(), eps).values():
-            t = (e.P[-1] * q + e.Q[-1] * p, e.den)
-            if best is None or t[0] * best[1] > best[0] * t[1]:
-                best = t
-        return None if best is None else Fraction(best[0], best[1] * q)
-
-    def _row_can_escape(self, r, keep):
-        """Is the slack of row r unbounded below on the relaxation without r?
-        (Recession-cone test; independent of eps.)"""
-        key = (r, keep)
-        if key in self._recession:
-            return self._recession[key]
-        rows = [self.A[i] for i in sorted(keep) if i != r]
-        rhs = [Fraction(0)] * len(rows)
-        rows.append(tuple(-v for v in self.A[r]))
-        rhs.append(Fraction(1))
-        ans = lp.feasible(rows, rhs)
-        self._recession[key] = ans
-        return ans
+        return margin_at(self._lifted(), eps)
 
     def pruned_rows_at(self, eps):
         """Redundant G-stable rows at eps, dropped greedily by index."""
-        eps = frac(eps)
-        p, q = eps.numerator, eps.denominator
-        keep = set(range(self.m))
-        pruned = set()
+        full = (1 << self.m) - 1
+        keep = full
         changed = True
         while changed:
             changed = False
-            for r in sorted(keep):
-                if self.tags[r][0] != "x":
-                    continue
-                if self._row_can_escape(r, frozenset(keep)):
-                    continue
-                found = feasible_at(self._vertices(), eps, mask_of(keep - {r}))
-                if found and all(e.U[r] * q + e.V[r] * p >= 0
-                                 for e in found.values()):
-                    keep.discard(r)
-                    pruned.add(r)
+            for r in sorted(rows_of(keep)):
+                if self.tags[r][0] == "x" and row_is_redundant(
+                        self.A, self._vertices(), r, keep, eps, self._recession):
+                    keep &= ~(1 << r)
                     changed = True
                     break
-        return frozenset(pruned), frozenset(keep)
+        return rows_of(full & ~keep), rows_of(keep)
 
     def signatures_at(self, eps, prune=True):
         """Canonical face-signature set at eps (pruned of redundant rows)."""
@@ -276,24 +243,6 @@ def classify_breakpoints(fam, cands, eps_max):
     return events, intervals
 
 
-def _orbit_dim(fam, eps, sig, pts):
-    """Orbit dimension of the face with maximal active set sig at eps."""
-    hs = fam.X.hs
-    members = [pt for pt, act in pts if act >= sig]
-    from .linalg import affine_dim
-    d = affine_dim(members)
-    veps = fam.v_at(eps)
-    walls = set()
-    for alpha in sorted(hs.R):
-        row = sigma(hs, alpha)
-        rhs = -coroot_pairing(hs.G, alpha, veps)
-        if all(dot(row, pt) == rhs for pt in members):
-            walls.add(alpha)
-    r_set = hs.R - walls
-    levi = {r for r in hs.G.nontrivial_roots() if r not in r_set}
-    return flag_dimension(hs.G, levi) + d, d, frozenset(r_set)
-
-
 def fibration_fibers(trace, event):
     """Fiber records of a trace's terminal fibration event."""
     if event.kind != FIBRATION:
@@ -320,6 +269,7 @@ def general_fiber(fam, eps_below, eps_max):
         if tgt is None:
             raise NoMaximalPreimage(f"face {sorted(rows_of(sig))} has empty image")
         preimages.setdefault(rows_of(tgt), []).append(rows_of(sig))
+    hs = fam.X.hs
     records = []
     for tgt_sig in sorted(map(rows_of, closure_masks(tgt_masks)), key=sorted):
         pre = preimages.get(tgt_sig, [])
@@ -328,12 +278,14 @@ def general_fiber(fam, eps_below, eps_max):
         best = min(pre, key=lambda s: (len(s), sorted(s)))
         if any(not (s >= best) for s in pre):
             raise NoMaximalPreimage("no unique biggest source orbit")
-        dim_src, rk_src, rset_src = _orbit_dim(fam, eps_below, best, src_pts)
-        dim_tgt, rk_tgt, rset_tgt = _orbit_dim(fam, eps_max, tgt_sig, tgt_pts)
+        src = face_orbit(hs, fam.v_at(eps_below),
+                         [pt for pt, act in src_pts if act >= best])
+        tgt = face_orbit(hs, fam.v_at(eps_max),
+                         [pt for pt, act in tgt_pts if act >= tgt_sig])
         num = den = None
-        if rk_src == rk_tgt:
-            num, den = frozenset(rset_tgt), frozenset(rset_src)
-        records.append(FiberRecord(dim_src - dim_tgt, rk_src - rk_tgt,
+        if src.rank == tgt.rank:
+            num, den = tgt.r_set, src.r_set
+        records.append(FiberRecord(src.dim - tgt.dim, src.rank - tgt.rank,
                                    best, tgt_sig, num, den))
     return records
 

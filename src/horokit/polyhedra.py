@@ -8,7 +8,10 @@ invertible square subsystem solved fraction-free (Bareiss), with its point
 and all row slacks as integer numerators over one positive denominator, so
 that feasibility at any eps is an integer sign test.  Vertices are the
 feasible entries, keyed by their active rows as bitmasks, and faces are the
-intersection closure of those masks; everything stays in exact arithmetic.
+intersection closure of those masks.  The strict-feasibility margin and the
+row redundancy test read the same kind of table.  Vertices, dimensions, face
+lattices and redundant rows are asked of polytopes: an unbounded region
+raises UnboundedPolyhedron.  Everything stays in exact arithmetic.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 from . import lp
 from .errors import EmptyPolytope, UnboundedPolyhedron
-from .linalg import affine_dim, frac, int_rows, rank
+from .linalg import affine_dim, frac, int_rows
 
 GSTABLE = "x"
 COLOR = "color"
@@ -209,19 +212,6 @@ def is_feasible(system):
     return lp.feasible(system.A, system.b)
 
 
-def polytope_dim(system):
-    """Affine dimension of the feasible set, -1 when empty."""
-    if not is_feasible(system):
-        return -1
-    n = system.dim
-    implicit = []
-    for i, (row, rhs) in enumerate(zip(system.A, system.b)):
-        res = lp.optimize_over(row, system.A, system.b, maximize=True)
-        if res.status == lp.OPTIMAL and res.value == rhs:
-            implicit.append(row)
-    return n - rank(implicit)
-
-
 def _is_bounded(system):
     """Bounded iff the recession cone {A d >= 0} is {0}, that is iff the
     origin is the only basic point of {A d >= 0, (sum of the rows) d <= 1}.
@@ -232,13 +222,80 @@ def _is_bounded(system):
     return len(found) == 1
 
 
-def vertices(system):
-    """All extreme points, exact and lexicographically sorted."""
-    if not is_feasible(system):
-        return []
-    if not _is_bounded(system):
+def _vertex_masks(system):
+    """The vertices of a polytope as {active row mask: table entry}, empty
+    when the system is.  Raises UnboundedPolyhedron on an unbounded region."""
+    found = feasible_at(vertex_table(system.A, system.b))
+    if not found:
+        if is_feasible(system):
+            raise UnboundedPolyhedron("no basic points: region is not pointed")
+    elif not _is_bounded(system):
         raise UnboundedPolyhedron("feasible set has a nonzero recession cone")
-    return [pt for pt, _ in basic_points(system.A, system.b)]
+    return found
+
+
+def vertices(system):
+    """All extreme points of a polytope, exact and lexicographically sorted
+    ([] when empty).  Raises UnboundedPolyhedron on an unbounded region."""
+    return sorted(e.point() for e in _vertex_masks(system).values())
+
+
+def polytope_dim(system):
+    """Affine dimension of a polytope, -1 when it is empty.  Raises
+    UnboundedPolyhedron on an unbounded region."""
+    return affine_dim(vertices(system))
+
+
+def margin_table(A, B, C=None, strict=None):
+    """Vertex table of the margin system of {A x >= B + eps C}:
+    {A_r x - t >= B_r + eps C_r on the strict rows, the other rows weak,
+    -t >= -1}, the variable t last.  strict is a row mask, all rows by
+    default."""
+    n = len(A[0])
+    strict = -1 if strict is None else strict
+    rows = [tuple(a) + (-(strict >> r & 1),) for r, a in enumerate(A)]
+    return vertex_table(rows + [(0,) * n + (-1,)], tuple(B) + (-1,),
+                        None if C is None else tuple(C) + (0,))
+
+
+def margin_at(table, eps=0):
+    """Exact max t of a margin table at eps, None when it has no feasible
+    entry.  The strict rows hold strictly somewhere iff the value is > 0."""
+    eps = frac(eps)
+    p, q = eps.numerator, eps.denominator
+    best = None
+    for e in feasible_at(table, eps).values():
+        t = (e.P[-1] * q + e.Q[-1] * p, e.den)
+        if best is None or t[0] * best[1] > best[0] * t[1]:
+            best = t
+    return None if best is None else Fraction(best[0], best[1] * q)
+
+
+def row_is_redundant(A, table, r, keep, eps=0, escapes=None):
+    """Is row r redundant among the rows of keep (a mask) of {A x >= B + eps C},
+    given the vertex table of that system?
+
+    Yes when its slack cannot escape to -infinity, that is when
+    {A_i d >= 0 for the other kept rows, -A_r d >= 1} has no basic feasible
+    point, and every feasible vertex of the other kept rows satisfies row r.
+    Exact when the kept rows have full column rank.  The escape test does
+    not depend on eps; a caller may pass a dict `escapes` that keeps its
+    answers by (r, keep).
+    """
+    rest = keep & ~(1 << r)
+    escapes = {} if escapes is None else escapes
+    key = (r, keep)
+    if key not in escapes:
+        rows = [A[i] for i in sorted(rows_of(rest))] + [tuple(-v for v in A[r])]
+        rhs = [0] * (len(rows) - 1) + [1]
+        escapes[key] = bool(feasible_at(vertex_table(rows, rhs)))
+    if escapes[key]:
+        return False
+    eps = frac(eps)
+    p, q = eps.numerator, eps.denominator
+    found = feasible_at(table, eps, rest)
+    return bool(found) and all(e.U[r] * q + e.V[r] * p >= 0
+                               for e in found.values())
 
 
 def closure_masks(masks):
@@ -274,14 +331,11 @@ def face_of(masks, rows):
 
 
 def face_lattice(system):
-    """Every nonempty face as a FaceSignature, full polytope included."""
-    found = feasible_at(vertex_table(system.A, system.b))
+    """Every nonempty face of a polytope as a FaceSignature, the polytope
+    itself included."""
+    found = _vertex_masks(system)
     if not found:
-        if is_feasible(system):
-            raise UnboundedPolyhedron("no basic points: region is not pointed")
         raise EmptyPolytope("feasible set is empty")
-    if not _is_bounded(system):
-        raise UnboundedPolyhedron("feasible set has a nonzero recession cone")
     pts = {mask: e.point() for mask, e in found.items()}
     faces = []
     for sig in closure_masks(pts):
@@ -291,20 +345,17 @@ def face_lattice(system):
 
 
 def redundant_rows(system):
-    """Rows whose removal leaves the feasible set unchanged."""
-    if not is_feasible(system):
+    """Rows whose removal leaves the feasible set of a polytope unchanged.
+    Raises EmptyPolytope when it is empty, UnboundedPolyhedron when it is
+    unbounded."""
+    if not _vertex_masks(system):
         raise EmptyPolytope("feasible set is empty")
-    out = set()
     m = len(system.A)
     if m == 1:
-        return out
-    for i in range(m):
-        rest_a = [system.A[j] for j in range(m) if j != i]
-        rest_b = [system.b[j] for j in range(m) if j != i]
-        res = lp.optimize_over(system.A[i], rest_a, rest_b, maximize=False)
-        if res.status == lp.OPTIMAL and res.value >= system.b[i]:
-            out.add(i)
-    return out
+        return set()
+    table = vertex_table(system.A, system.b)
+    full = (1 << m) - 1
+    return {r for r in range(m) if row_is_redundant(system.A, table, r, full)}
 
 
 def lattice_points(system):

@@ -6,17 +6,28 @@ morphisms.
 Q~ lives in M coordinates as an inequality system; Q = v0 + Q~ sits in the
 weight space.  A dominant wall for alpha in R is the locus where the coroot
 pairing vanishes; on Q this reads sigma(alpha) . chi = -<alpha^vee, v0>.
+
+Every question here is read off the vertex table of `polyhedra`, so Q~ is
+taken to be a polytope: admissibility from the vertices of Q~ and the
+margin table of Q~ with its walls, orbit data from the vertices on a face,
+and transport from the table of the target with the imposed equalities.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import lp
-from .errors import EmptyFace, IncompatibleQuadruples
+from .errors import EmptyFace, IncompatibleQuadruples, UnboundedPolyhedron
 from .horo import sigma
-from .linalg import frac
-from .polyhedra import InequalitySystem, face_lattice, polytope_dim
+from .linalg import affine_dim, dot, frac
+from .polyhedra import (InequalitySystem, basic_points, face_lattice, face_of,
+                        feasible_at, margin_at, margin_table, rows_of,
+                        vertex_table, vertices)
 from .rootdata import coroot_pairing, flag_dimension
+
+
+def _wall(hs, v0, alpha):
+    """(row, rhs) with the wall of alpha reading row . chi = rhs on Q~."""
+    row = tuple(frac(v) for v in sigma(hs, alpha))
+    return row, -coroot_pairing(hs.G, alpha, v0)
 
 
 @dataclass(frozen=True)
@@ -34,55 +45,34 @@ class AdmissibleQuadruple:
 
     def wall_functional(self, alpha):
         """(row, rhs) with the wall condition row . chi = rhs on Q~."""
-        row = tuple(frac(v) for v in sigma(self.hs, alpha))
-        rhs = -coroot_pairing(self.hs.G, alpha, self.v0)
-        return row, rhs
+        return _wall(self.hs, self.v0, alpha)
 
 
 def is_admissible(q):
-    """(ok, violated clauses) for the four admissibility conditions."""
-    bad = []
-    n = q.rank
-    dim = polytope_dim(q.qtilde)
-    if dim < 0:
+    """(ok, violated clauses) for the admissibility conditions, all read off
+    the vertices of Q~."""
+    try:
+        verts = vertices(q.qtilde)
+    except UnboundedPolyhedron:
+        return False, ["pseudo-moment polytope is unbounded"]
+    if not verts:
         return False, ["polytope is empty"]
-    if dim != n:
+    bad = []
+    if affine_dim(verts) != q.rank:
         bad.append("pseudo-moment polytope is not full-dimensional in M")
-    for alpha in sorted(q.hs.R):
-        row, rhs = q.wall_functional(alpha)
-        res = lp.optimize_over(row, q.qtilde.A, q.qtilde.b, maximize=False)
-        if res.status == lp.OPTIMAL and res.value < rhs:
+    walls = [(alpha,) + q.wall_functional(alpha) for alpha in sorted(q.hs.R)]
+    for alpha, row, rhs in walls:
+        if min(dot(row, v) for v in verts) < rhs:
             bad.append(f"moment polytope leaves the dominant cone at {alpha}")
             break
-    strict = _dominant_interior_margin(q)
-    if strict is None or strict <= 0:
+    # the rows of Q~ weak, the walls strict
+    m = len(q.qtilde.A)
+    A = q.qtilde.A + tuple(row for _, row, _ in walls)
+    B = q.qtilde.b + tuple(rhs for _, _, rhs in walls)
+    margin = margin_at(margin_table(A, B, strict=~((1 << m) - 1)))
+    if margin is None or margin <= 0:
         bad.append("moment polytope misses the interior of the dominant cone")
     return not bad, bad
-
-
-def _dominant_interior_margin(q):
-    rows = list(q.qtilde.A)
-    rhs = list(q.qtilde.b)
-    strict_rows = []
-    for alpha in sorted(q.hs.R):
-        row, wall_rhs = q.wall_functional(alpha)
-        strict_rows.append(len(rows))
-        rows.append(row)
-        rhs.append(wall_rhs)
-    if not strict_rows:
-        return Fraction(1)
-    return lp.strict_margin(rows, rhs, strict_rows=strict_rows)
-
-
-def _face_system(q, active_rows):
-    rows = list(q.qtilde.A)
-    rhs = list(q.qtilde.b)
-    tags = list(q.qtilde.tags)
-    for i in sorted(active_rows):
-        rows.append(tuple(-v for v in q.qtilde.A[i]))
-        rhs.append(-q.qtilde.b[i])
-        tags.append(("eq", i))
-    return InequalitySystem(tuple(rows), tuple(rhs), tuple(tags))
 
 
 @dataclass(frozen=True)
@@ -96,24 +86,29 @@ class OrbitInfo:
     walls: frozenset
 
 
-def orbit_of_face(q, active_rows):
-    """Orbit data of the face with the given (maximal) active row set."""
-    active_rows = frozenset(active_rows)
-    sysf = _face_system(q, active_rows)
-    d = polytope_dim(sysf)
-    if d < 0:
-        raise EmptyFace(f"rows {sorted(active_rows)} cut out the empty set")
+def face_orbit(hs, v0, points):
+    """OrbitInfo of the face of Q~ (translated by v0) spanned by the points:
+    the walls that contain them all, the surviving colors, the face
+    dimension and the orbit dimension dim G/P' + that dimension."""
+    d = affine_dim(points)
     walls = set()
-    for alpha in sorted(q.hs.R):
-        row, rhs = q.wall_functional(alpha)
-        hi = lp.optimize_over(row, sysf.A, sysf.b, maximize=True)
-        lo = lp.optimize_over(row, sysf.A, sysf.b, maximize=False)
-        if hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL and \
-                hi.value == rhs and lo.value == rhs:
+    for alpha in hs.R:
+        row, rhs = _wall(hs, v0, alpha)
+        if all(dot(row, pt) == rhs for pt in points):
             walls.add(alpha)
-    r_set = frozenset(q.hs.R - walls)
-    levi = {r for r in q.hs.G.nontrivial_roots() if r not in r_set}
-    return OrbitInfo(r_set, d, flag_dimension(q.hs.G, levi) + d, frozenset(walls))
+    r_set = hs.R - walls
+    levi = {r for r in hs.G.nontrivial_roots() if r not in r_set}
+    return OrbitInfo(r_set, d, flag_dimension(hs.G, levi) + d, frozenset(walls))
+
+
+def orbit_of_face(q, active_rows):
+    """Orbit data of the face on which the given rows are tight."""
+    rows = frozenset(active_rows)
+    members = [pt for pt, act in basic_points(q.qtilde.A, q.qtilde.b)
+               if act >= rows]
+    if not members:
+        raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
+    return face_orbit(q.hs, q.v0, members)
 
 
 def orbit_poset(q):
@@ -134,7 +129,8 @@ def map_face(q_source, q_target, active_rows):
     The maximal active rows of the source face are matched to target rows by
     tag, the dominant walls containing the source face are imposed on the
     target, and the cut-out face (or COLLAPSED) is returned as a maximal
-    active set of the target system.
+    active set of the target system: the meet of the active sets of its
+    vertices.
     """
     src, tgt = q_source.qtilde, q_target.qtilde
     for tags in (src.tags, tgt.tags):
@@ -142,33 +138,23 @@ def map_face(q_source, q_target, active_rows):
             raise IncompatibleQuadruples("row tags are not unique")
     tgt_index = {t: i for i, t in enumerate(tgt.tags)}
     active_rows = frozenset(active_rows)
-    eq_rows = []
+    rows, rhs = list(tgt.A), list(tgt.b)
     for i in active_rows:
         tag = src.tags[i]
         if tag in tgt_index:
-            eq_rows.append(tgt_index[tag])
+            # the row itself is already there; its opposite makes it tight
+            j = tgt_index[tag]
+            rows.append(tuple(-v for v in tgt.A[j]))
+            rhs.append(-tgt.b[j])
         elif tag[0] == "color":
             raise IncompatibleQuadruples(f"target lacks the color row {tag}")
         # missing G-stable rows were pruned; they impose nothing
-    src_info = orbit_of_face(q_source, active_rows)
-    rows = list(tgt.A)
-    rhs = list(tgt.b)
-    a_eq = [list(tgt.A[i]) for i in eq_rows]
-    b_eq = [tgt.b[i] for i in eq_rows]
-    for alpha in sorted(src_info.walls):
+    for alpha in sorted(orbit_of_face(q_source, active_rows).walls):
         if alpha in q_target.hs.R:
             row, wall_rhs = q_target.wall_functional(alpha)
-            a_eq.append(list(row))
-            b_eq.append(wall_rhs)
-    if not lp.feasible(rows, rhs, a_eq=a_eq, b_eq=b_eq):
+            rows += [row, tuple(-v for v in row)]
+            rhs += [wall_rhs, -wall_rhs]
+    meet = face_of(feasible_at(vertex_table(rows, rhs)), 0)
+    if meet is None:
         return COLLAPSED
-    # maximal active set of the cut-out face
-    sys_rows = rows + a_eq + [[-v for v in r] for r in a_eq]
-    sys_rhs = rhs + b_eq + [-b for b in b_eq]
-    out = set()
-    for i, (row, b) in enumerate(zip(tgt.A, tgt.b)):
-        res = lp.solve_lp(row, a_ub=[[-v for v in r] for r in sys_rows],
-                          b_ub=[-b_ for b_ in sys_rhs], maximize=True)
-        if res.status == lp.OPTIMAL and res.value == b:
-            out.add(i)
-    return frozenset(out)
+    return rows_of(meet & ((1 << len(tgt.A)) - 1))

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from horokit import cli
 
 
@@ -13,6 +15,11 @@ def run_cli(args):
 
 W3 = {"group": "A2 x 1 x C* x C*", "kind": "x1", "beta": "(0,a1)",
       "alphas": ["(1,triv)", "(2,triv)", "(3,triv)"], "a": [0, 2, 3]}
+
+
+FAN_A1 = {"group": "A1 x C* x C*", "kind": "fan",
+          "m_basis": [[0, 1, 0], [0, 0, 1]], "colors": [],
+          "cones": [{"generators": [[1, 0]], "colors": []}]}
 
 
 def test_cmd_check_w3(tmp_path):
@@ -102,6 +109,11 @@ def test_wrong_field_types_exit_2(tmp_path):
         f = tmp_path / f"bad{i}.json"
         f.write_text(json.dumps(W3 | patch))
         assert cli.main(["check", str(f)]) == 2, patch
+    # a cone generator whose length is not the rank of M
+    f = tmp_path / "badgen.json"
+    f.write_text(json.dumps(FAN_A1 | {"cones": [{"generators": [[1, 0, 0]],
+                                                  "colors": []}]}))
+    assert cli.main(["check", str(f)]) == 2
 
 
 def test_subprocess_entry_point(tmp_path):
@@ -110,3 +122,66 @@ def test_subprocess_entry_point(tmp_path):
     proc = run_cli(["check", str(f)])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["picard_rank"] == 2
+
+
+# Fuzzing the exit-code contract on mutated copies of W3: each field is
+# dropped, replaced by a value of the wrong JSON type, or re-valued within
+# its type.
+def _type_ok(key, v):
+    if key == "group":
+        return isinstance(v, str) or (isinstance(v, list) and
+                                      all(isinstance(x, str) for x in v))
+    if key in ("kind", "beta"):
+        return isinstance(v, str)
+    if key == "alphas":
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+    return isinstance(v, list) and all(type(x) is int for x in v)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5)
+_ROOTS = st.sampled_from(["(0,a1)", "(0,a2)", "(0,a9)", "(1,triv)",
+                          "(2,triv)", "(3,triv)", "(4,triv)", "(1,a1)", "a1"])
+_REVALUE = {
+    "group": st.sampled_from(["A2 x 1 x C* x C*", "A1 x 1 x C* x C*",
+                              "A2 x C* x C*", "A2 x 1 x C* x C* x C*",
+                              "B2 x 1 x C* x C*", "Z3", ""])
+    | st.lists(st.sampled_from(["A2", "1", "C*", "G2", "X"]), max_size=4),
+    "kind": st.sampled_from(["x1", "x2", "fan", "x3"]),
+    "beta": _ROOTS,
+    "alphas": st.lists(_ROOTS, max_size=4),
+    "a": st.lists(st.integers(-1, 4), max_size=4),
+}
+
+
+@st.composite
+def _mutated_w3(draw):
+    doc = dict(W3)
+    wrong_type = False
+    for key in draw(st.lists(st.sampled_from(sorted(_REVALUE)), min_size=1,
+                             max_size=3, unique=True)):
+        op = draw(st.sampled_from(("drop", "retype", "revalue")))
+        if op == "drop":
+            doc.pop(key)
+        elif op == "retype":
+            doc[key] = draw(_JSON.filter(lambda v: not _type_ok(key, v)))
+            wrong_type = True
+        else:
+            doc[key] = draw(_REVALUE[key])
+    return doc, wrong_type
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_w3())
+def test_exit_code_contract_on_mutated_specs(tmp_path, case):
+    doc, wrong_type = case
+    f = tmp_path / "fuzz.json"
+    f.write_text(json.dumps(doc))
+    code = cli.main(["check", str(f)])
+    assert code in (0, 1, 2), doc
+    if wrong_type:
+        assert code == 2, doc

@@ -175,3 +175,11 @@ def test_case_detect_round_trip():
     hs0 = HomSpaceData(G, frozenset({Root(0, 1), Root(0, 2)}), ())
     fan0 = ColoredFan((ColoredCone((), frozenset()),))
     assert isinstance(horo.case_detect(hs0, fan0), horo.Case0)
+
+
+def test_validate_fan_reports_unknown_color():
+    G = GroupProduct((SL(2), TORUS_FACTOR, TORUS_FACTOR))
+    hs = HomSpaceData(G, frozenset(), ((0, 1, 0), (0, 0, 1)))
+    fan = ColoredFan((ColoredCone(((1, 0),), frozenset({Root(0, 1)})),))
+    issues = horo.validate_fan(hs, fan)
+    assert any(s.startswith("UnknownColor: (0,a1)") for s in issues), issues

@@ -221,6 +221,26 @@ def test_parametric_path_matches_static_path():
             assert fam.points_at(eps) == ph.basic_points(S.A, S.b)
 
 
+def test_margin_admissibility_matches_quadruple_test():
+    # the family's margin test and quadruple.is_admissible decide the same
+    # question; compare them at eps = 0, each event, each midpoint and past
+    # the end, on every 20th spec of the acceptance grid
+    import gridgen
+    from horokit import quadruple as qd
+    grid = gridgen.case1_grid() + gridgen.case2_grid()
+    for spec in grid[::20]:
+        X = cl.build_x1(spec) if isinstance(spec, cl.X1Spec) else cl.build_x2(spec)
+        tr = canonical_run(X)
+        fam = tr.family
+        events = [e.epsilon for e in tr.events]
+        cuts = [F(0)] + events
+        probes = set(cuts) | {(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])}
+        probes.add(tr.eps_max + F(1, 3))
+        for eps in sorted(probes):
+            assert fam.admissible(eps) == \
+                qd.is_admissible(fam.quadruple_at(eps))[0], (spec, eps)
+
+
 def test_predict_trace_skeletons():
     spec, _ = x1(*CHAIN_012_TRIVIAL)
     sk = mmp.predict_trace_case1(spec)

@@ -17,6 +17,14 @@ def test_polytope_dim_examples():
     assert ph.polytope_dim(ph.InequalitySystem(((1,), (-1,)), (1, 0))) == -1
 
 
+def test_polytope_questions_reject_a_half_line():
+    half = ph.InequalitySystem(((1,), (1,)), (0, -1))
+    with pytest.raises(UnboundedPolyhedron):
+        ph.polytope_dim(half)
+    with pytest.raises(UnboundedPolyhedron):
+        ph.redundant_rows(half)
+
+
 def test_vertices_examples():
     assert ph.vertices(SIMPLEX2) == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
     # the eps = 0 member of the (0,1,2) family is the unit simplex

@@ -35,6 +35,10 @@ def test_is_admissible():
     pt = InequalitySystem(((1,), (-1,)), (0, 0))
     ok, bad = qd.is_admissible(AdmissibleQuadruple(q_x.hs, pt, (F(2), F(2))))
     assert not ok and any("full-dimensional" in s for s in bad)
+    # the half-line x <= 2 runs out of the dominant cone: unbounded clause
+    half = InequalitySystem(((-1,),), (-2,))
+    ok, bad = qd.is_admissible(AdmissibleQuadruple(q_x.hs, half, (F(2), F(2))))
+    assert not ok and any("unbounded" in s for s in bad)
 
 
 def test_orbit_dictionary_segments():

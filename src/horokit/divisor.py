@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import rootdata
 from .errors import AssertionBZeta, NotCartier, NotQCartier
-from .horo import cone_contains, extreme_rays, fan_colors, sigma
+from .horo import cone_contains, sigma
 from .linalg import dot, frac, solve
 from .polyhedra import InequalitySystem, color_tag, gstable_tag, lattice_points
 
@@ -79,35 +79,22 @@ class PLFunction:
         raise ValueError(f"{x} lies in no maximal cone (fan not complete?)")
 
 
-def _edge_value_constraints(X, D):
-    """(point, value) pairs pinning h_D: G-stable rays and color images."""
-    cons = []
-    for ray in X.gstable_rays:
-        cons.append((tuple(Fraction(v) for v in ray), D.coeff(("x", ray))))
-    for a in sorted(fan_colors(X.fan)):
-        s = tuple(Fraction(v) for v in sigma(X.hs, a))
-        cons.append((s, D.coeff(("c", a))))
-    return cons
-
-
 def pl_function(X, D):
-    """Solve for h_D cone by cone; raises NotQCartier on inconsistency."""
-    from .linalg import rank as _rank
+    """Solve for h_D cone by cone; raises NotQCartier on inconsistency.
+
+    The cones and the support points each one contains come from
+    X.skeleton(), so only the solves depend on D.
+    """
     n = X.rank
-    cons = _edge_value_constraints(X, D)
+    support, cones = X.skeleton()
     pieces = {}
     ray_values = {}
-    for cone in X.fan.cones:
-        rays = extreme_rays(cone.generators)
-        if len(rays) < n or (rays in pieces):
-            continue
-        local = [(p, v) for p, v in cons if cone_contains(rays, p)]
-        mat = [list(p) for p, _ in local]
-        rhs = [v for _, v in local]
-        if _rank(mat) < n:
+    for rays, (inside, spanned) in cones.items():
+        if not spanned:
             raise NotQCartier("maximal cone with underdetermined support "
                               "(unexpected for complete fans)")
-        sol = solve(mat, rhs)
+        sol = solve([support[i][1] for i in inside],
+                    [D.coeff(support[i][0]) for i in inside])
         if sol is None:
             raise NotQCartier(f"no linear form matches the coefficients on {rays}")
         pieces[rays] = tuple(sol)
@@ -139,7 +126,7 @@ def ample_status(X, D, pl=None):
                 strict = False
     if X.rank == 0:
         convex = strict = True
-    for a in sorted(X.hs.R - fan_colors(X.fan)):
+    for a in sorted(X.hs.R - X.colors_used()):
         s = sigma(X.hs, a)
         hv = h.value_at(s) if X.rank else Fraction(0)
         ca = D.coeff(("c", a))
@@ -219,7 +206,7 @@ def class_cartier(X, D):
     for form in forms[1:]:
         if any((u - v).denominator != 1 for u, v in zip(form, base)):
             return False
-    for a in sorted(X.hs.R - fan_colors(X.fan)):
+    for a in sorted(X.hs.R - X.colors_used()):
         s = sigma(X.hs, a)
         if (D.coeff(("c", a)) - dot(base, s)).denominator != 1:
             return False

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import lp, rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
-from .linalg import det_int, is_zero, primitive, rank, solve
+from .linalg import det_int, echelon, is_zero, primitive, rank, solve
 from .rootdata import GroupProduct, Root, coroot_pairing, flag_dimension
 
 
@@ -86,12 +86,17 @@ class ColoredFan:
 
 
 def extreme_rays(generators):
-    """Primitive extreme rays of the cone, sorted."""
+    """Primitive extreme rays of the cone, sorted.
+
+    Linearly independent rays are all extreme, with no LP.
+    """
     prims = []
     for g in generators:
         p = primitive(g)
         if not is_zero(p) and p not in prims:
             prims.append(p)
+    if rank(prims) == len(prims):
+        return tuple(sorted(prims))
     keep = []
     for i, g in enumerate(prims):
         others = prims[:i] + prims[i + 1:]
@@ -101,7 +106,17 @@ def extreme_rays(generators):
 
 
 def cone_contains(generators, v):
-    return lp.in_cone(generators, v)
+    """Is v a nonnegative combination of the generators?
+
+    Independent generators take one elimination of [generators | v], whose
+    pivot rows give the unique coefficients; dependent ones take the LP.
+    """
+    gens = [g for g in generators if not is_zero(g)]
+    k = len(gens)
+    m, pivots = echelon([[g[i] for g in gens] + [v[i]] for i in range(len(v))])
+    if pivots[:k] != list(range(k)):
+        return lp.in_cone(generators, v)
+    return k not in pivots and all(row[k] * row[j] >= 0 for j, row in enumerate(m[:k]))
 
 
 def is_pointed(generators):
@@ -203,14 +218,19 @@ def _relints_meet(c1, c2):
     Identical colored cones are handled by the duplicate check, so equality
     of canonical keys short-circuits to False here.
     """
-    if extreme_rays(c1.generators) == extreme_rays(c2.generators) and \
-            frozenset(c1.colors) == frozenset(c2.colors):
+    rays1, rays2 = extreme_rays(c1.generators), extreme_rays(c2.generators)
+    if rays1 == rays2 and frozenset(c1.colors) == frozenset(c2.colors):
         return False
     g1 = [g for g in c1.generators if not is_zero(g)]
     g2 = [g for g in c2.generators if not is_zero(g)]
     if not g1 or not g2:
         # A zero cone's relative interior is {0}, interior to no other cone.
         return not g1 and not g2
+    prims = {primitive(g) for g in g1 + g2}
+    if rank(prims) == len(prims):
+        # A point has one expansion in independent rays, so the relative
+        # interiors (positive combinations) meet only on equal ray sets.
+        return rays1 == rays2
     n = len(g1[0])
     nvar = len(g1) + len(g2)
     a_eq = [[Fraction(g[i]) for g in g1] + [-Fraction(h[i]) for h in g2]
@@ -240,7 +260,9 @@ def fan_colors(fan):
 
 
 def is_complete(hs, fan):
-    """Support equals N_Q.  Exact for simplicial fans."""
+    """Support equals N_Q: every facet of a full-dimensional cone lies in
+    exactly two of them.  Exact only for a validated fan (no overlaps, which
+    are not checked here) whose full-dimensional cones are simplicial."""
     n = hs.rank
     if n == 0:
         return len(fan.cones) > 0
@@ -289,6 +311,8 @@ def is_locally_factorial(hs, fan):
 
 
 def picard_rank(hs, fan):
+    """Edges minus rank plus colors off the fan; exact under the
+    precondition of is_complete (validated, non-overlapping, simplicial)."""
     if not is_locally_factorial(hs, fan):
         raise NotLocallyFactorial("picard_rank needs a locally factorial fan")
     if not is_complete(hs, fan):
@@ -324,13 +348,8 @@ class HoroVariety:
         self.hs = hs
         self.fan = fan
         self._caches = {}
-        edges = fan_edges(fan)
-        color_rays = {}
-        for a in sorted(hs.R):
-            s = primitive(sigma(hs, a))
-            if a in fan_colors(fan):
-                color_rays.setdefault(s, []).append(a)
-        gstable = [e for e in edges if e not in color_rays]
+        color_rays = {primitive(sigma(hs, a)) for a in hs.R & self.colors_used()}
+        gstable = [e for e in self.edges() if e not in color_rays]
         if divisors is None:
             divisors = tuple(("x", e) for e in gstable) + \
                 tuple(("c", a) for a in sorted(hs.R))
@@ -350,8 +369,33 @@ class HoroVariety:
             self._caches[key] = fn()
         return self._caches[key]
 
+    def cone_rays(self):
+        """Extreme rays of each cone, in fan order."""
+        return self._cached("rays", lambda: tuple(
+            extreme_rays(c.generators) for c in self.fan.cones))
+
     def edges(self):
-        return self._cached("edges", lambda: fan_edges(self.fan))
+        return self._cached("edges", lambda: tuple(sorted(
+            {r for rays in self.cone_rays() for r in rays})))
+
+    def skeleton(self):
+        """(support, cones), derived once: the (descriptor, point) pairs
+        pinning a PL function (G-stable rays, then the images of the colors
+        in the fan), and each full-dimensional cone once, in fan order, as
+        rays -> (indices of the support points inside, do they span N?)."""
+        def build():
+            support = [(d, self.row_vector(d)) for d in
+                       [("x", r) for r in self.gstable_rays] +
+                       [("c", a) for a in sorted(self.colors_used())]]
+            cones = {}
+            for rays in self.cone_rays():
+                if len(rays) >= self.rank and rays not in cones:
+                    inside = [i for i, (_, p) in enumerate(support)
+                              if cone_contains(rays, p)]
+                    pts = [support[i][1] for i in inside]
+                    cones[rays] = (inside, rank(pts) == self.rank)
+            return support, cones
+        return self._cached("skeleton", build)
 
     def colors_used(self):
         return self._cached("fx", lambda: fan_colors(self.fan))
@@ -366,7 +410,7 @@ class HoroVariety:
         return self._cached("smooth", lambda: is_smooth_variety(self.hs, self.fan))
 
     def picard_rank(self):
-        return picard_rank(self.hs, self.fan)
+        return self._cached("picard", lambda: picard_rank(self.hs, self.fan))
 
     def dim(self):
         return self.hs.open_orbit_dim()

@@ -1,13 +1,13 @@
 """
 Exact rational linear algebra on tuples of Fractions.
 
-Everything here is small and dense (ambient dimension <= ~8), so plain
-Gaussian elimination over Fraction is exact and fast enough.  Vectors are
-tuples, matrices are tuples of row tuples.
+Everything here is small and dense (ambient dimension <= ~8).  Elimination
+runs fraction-free on rows scaled to integers, so Fractions are built only
+for results.  Vectors are tuples, matrices are tuples of row tuples.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x):
@@ -39,34 +39,46 @@ def is_zero(u):
     return all(a == 0 for a in u)
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(map(frac, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _scaled(row):
+    """The row times the lcm of its denominators, as integers."""
+    row = [x if isinstance(x, int) else frac(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def echelon(rows):
+    """Fraction-free Gauss-Jordan on the rows scaled to integers, each new
+    row divided by its content.  Returns (integer rows, pivot_columns)."""
+    m = [_scaled(row) for row in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                row = [a * p[c] - f * b for a, b in zip(m[i], p)]
+                g = gcd(*row) or 1
+                m[i] = [a // g for a in row]
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return [tuple(row) for row in m], pivots
+    return m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    m, pivots = echelon(rows)
+    scale = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
+    return [tuple(Fraction(a, d) for a in row) for row, d in zip(m, scale)], pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(echelon(rows)[1])
 
 
 def solve(rows, rhs):
@@ -90,21 +102,8 @@ def solve(rows, rhs):
 
 def int_rows(rows, rhs):
     """Scale each row of (A | b) by a positive rational to integer entries."""
-    out_a, out_b = [], []
-    for r, b in zip(rows, rhs):
-        entries = [frac(x) for x in r] + [frac(b)]
-        den = 1
-        for e in entries:
-            den = den * e.denominator // gcd(den, e.denominator)
-        ints = [int(e * den) for e in entries]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out_a.append(tuple(ints[:-1]))
-        out_b.append(ints[-1])
-    return out_a, out_b
+    scaled = [primitive(tuple(r) + (b,)) for r, b in zip(rows, rhs)]
+    return [p[:-1] for p in scaled], [p[-1] for p in scaled]
 
 
 def det_int(rows):
@@ -132,17 +131,9 @@ def det_int(rows):
 
 def primitive(v):
     """Primitive integer vector on the ray through v (positive multiple)."""
-    fv = [frac(x) for x in v]
-    den = 1
-    for e in fv:
-        den = den * e.denominator // gcd(den, e.denominator)
-    ints = [int(e * den) for e in fv]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(0 for _ in ints)
-    return tuple(x // g for x in ints)
+    ints = _scaled(v)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def affine_dim(points):

@@ -1,9 +1,12 @@
 """
 Exact two-phase simplex over the rationals.
 
-It serves the fan geometry of `horo` (cone membership, pointedness, faces
-and overlaps of cones) and the emptiness test `polyhedra.is_feasible`;
-every other polytope question reads the vertex table of `polyhedra`.  No
+It is the fallback of the fan geometry in `horo`: cone membership and
+extreme rays on linearly dependent generators, pointedness, faces of
+non-simplicial cones and overlaps of cones whose rays are dependent; a
+simplicial cone is answered by `linalg`.  It also serves the emptiness test
+`polyhedra.is_feasible`; every other polytope question reads the vertex
+table of `polyhedra`.  No
 floating point, Bland's rule throughout (no cycling).  Problem sizes are
 tiny (tens of variables), so a dense tableau is the simplest correct
 choice.

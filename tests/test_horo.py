@@ -1,9 +1,11 @@
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
-from horokit import classify as cl, horo
+from horokit import classify as cl, horo, lp
 from horokit.errors import NotAColor, NotComplete, NotLocallyFactorial
 from horokit.horo import ColoredCone, ColoredFan, HomSpaceData
+from horokit.linalg import primitive
 from horokit.rootdata import (GroupFactor, GroupProduct, Root, SL,
                               TORUS_FACTOR, TRIVIAL_FACTOR)
 
@@ -183,3 +185,56 @@ def test_validate_fan_reports_unknown_color():
     fan = ColoredFan((ColoredCone(((1, 0),), frozenset({Root(0, 1)})),))
     issues = horo.validate_fan(hs, fan)
     assert any(s.startswith("UnknownColor: (0,a1)") for s in issues), issues
+
+
+# The fast paths of extreme_rays, cone_contains and _relints_meet (linear
+# algebra on independent generators) against the LP formulations they skip.
+
+def _lp_extreme_rays(generators):
+    prims = []
+    for g in generators:
+        p = primitive(g)
+        if any(p) and p not in prims:
+            prims.append(p)
+    return tuple(sorted(g for i, g in enumerate(prims)
+                        if not lp.in_cone(prims[:i] + prims[i + 1:], g)))
+
+
+def _lp_relints_meet(g1, g2):
+    # some lambda, mu >= 1 with sum lambda_i g1_i = sum mu_j g2_j
+    nvar = len(g1) + len(g2)
+    a_eq = [[g[i] for g in g1] + [-h[i] for h in g2] for i in range(len(g1[0]))]
+    a_ub = [[-1 if j == v else 0 for j in range(nvar)] for v in range(nvar)]
+    res = lp.solve_lp([0] * nvar, a_ub=a_ub, b_ub=[-1] * nvar, a_eq=a_eq,
+                      b_eq=[0] * len(a_eq), nonneg=True)
+    return res.status == lp.OPTIMAL
+
+
+def _vectors(n, min_size, max_size):
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    return st.lists(vec, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def _cone_pair(draw):
+    n = draw(st.integers(1, 4))
+    g1 = draw(_vectors(n, 1, n + 2))
+    # often reuse or rescale generators of the first cone
+    g2 = draw(_vectors(n, 0, n + 1)) + [
+        tuple(draw(st.sampled_from((1, 2))) * x for x in g)
+        for g in draw(st.lists(st.sampled_from(g1), max_size=n))]
+    return g1, g2 or g1[:1], draw(_vectors(n, 1, 1))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_pair())
+def test_cone_fast_paths_match_lp(pair):
+    g1, g2, v = pair
+    for gens in (g1, g2):
+        assert horo.extreme_rays(gens) == _lp_extreme_rays(gens)
+        assert horo.cone_contains(gens, v) == lp.in_cone(gens, v)
+        assert horo.cone_contains(gens, tuple(F(x, 3) for x in v)) == \
+            lp.in_cone(gens, v)
+    c1 = ColoredCone(g1, frozenset({"a"}))
+    c2 = ColoredCone(g2, frozenset({"b"}))
+    assert horo._relints_meet(c1, c2) == _lp_relints_meet(g1, g2)

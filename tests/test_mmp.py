@@ -241,6 +241,42 @@ def test_margin_admissibility_matches_quadruple_test():
                 qd.is_admissible(fam.quadruple_at(eps))[0], (spec, eps)
 
 
+README_SPEC = (GroupProduct((SL(3), TRIVIAL_FACTOR, TORUS_FACTOR, TORUS_FACTOR)),
+               Root(0, 1), (Root(1, 0), Root(2, 0), Root(3, 0)), (0, 2, 3))
+
+
+def test_fan_geometry_work_counts(monkeypatch):
+    # deterministic work counts, next to the wall-clock bounds of the
+    # acceptance suite: the simplicial fans of the engine take no LP, and
+    # a variety derives its fan skeleton once, not per divisor
+    from horokit import horo, lp
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp, "solve_lp", counted("lp", lp.solve_lp))
+    monkeypatch.setattr(horo, "extreme_rays", counted("rays", horo.extreme_rays))
+
+    def work():
+        counts.update(lp=0, rays=0)
+        _, X = x1(*README_SPEC)
+        canonical_run(X)
+        run = dict(counts)
+        D = X.boundary_divisor(0) + X.boundary_divisor(len(X.divisors) - 1)
+        rays_before = counts["rays"]
+        dv.pl_function(X, D)
+        return run, counts["rays"] - rays_before
+
+    first = work()
+    assert first[0]["lp"] == 0, first
+    assert first[0]["rays"] > 0 and first[1] == 0, first
+    assert work() == first
+
+
 def test_predict_trace_skeletons():
     spec, _ = x1(*CHAIN_012_TRIVIAL)
     sk = mmp.predict_trace_case1(spec)

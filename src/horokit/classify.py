@@ -13,7 +13,8 @@ Family one is the projectivized sum of weight modules w_{alpha_i} +
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotRestrictedForm, NotSmoothInput, SpecInvariantViolated
+from .errors import (NotRestrictedForm, NotSmoothInput, RewriteDepthExceeded,
+                     SpecInvariantViolated)
 from .horo import ColoredCone, ColoredFan, HomSpaceData, HoroVariety, sigma
 from .rootdata import (SL, GroupFactor, GroupProduct, Root, TORUS, TRIVIAL,
                        TRIVIAL_FACTOR, flag_dimension, is_smooth_quadruple,
@@ -678,7 +679,7 @@ def normalize(raw, x1_rules=X1_RULES, x2_rules=X2_RULES, _depth=0):
     confluence of the system can be exercised in tests.
     """
     if _depth > 64:
-        raise RuntimeError("rewrite depth exceeded")
+        raise RewriteDepthExceeded("rewrite depth exceeded")
     if isinstance(raw, X2Spec):
         _smoothness_gate_x2(raw)
         spec = raw

@@ -79,3 +79,7 @@ class SpecInvariantViolated(HorokitError):
 
 class NotSmoothInput(HorokitError):
     pass
+
+
+class RewriteDepthExceeded(HorokitError):
+    pass

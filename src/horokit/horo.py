@@ -120,12 +120,15 @@ def cone_contains(generators, v):
 
 
 def is_pointed(generators):
-    """No line: the generators fit in an open half-space."""
+    """No line: the generators fit in an open half-space.
+
+    Linearly independent generators always do, with no LP.
+    """
     gens = [g for g in generators if not is_zero(g)]
-    if not gens:
+    prims = {primitive(g) for g in gens}
+    if rank(prims) == len(prims):
         return True
-    n = len(gens[0])
-    return lp.feasible([list(g) for g in gens], [1] * len(gens)) if n else False
+    return lp.feasible([list(g) for g in gens], [1] * len(gens))
 
 
 def cone_faces(generators):
@@ -172,15 +175,23 @@ def cone_key(hs, cone):
 
 
 def validate_fan(hs, fan):
-    """Check the colored-fan axioms; returns a list of violation strings."""
+    """Check the colored-fan axioms; returns a list of violation strings.
+
+    That the cones of a complete simplicial fan do not overlap is certified
+    by crossing its walls with integer determinants (`_overlap_free`), with
+    no LP.  Only a fan the certificate does not cover is tested pair by pair,
+    with the simplex of `lp` as the fallback for dependent pairs.
+    """
     issues = []
+    cones = list(fan.cones)
+    cone_rays = [extreme_rays(c.generators) for c in cones]
     keys = {}
-    for cone in fan.cones:
-        k = cone_key(hs, cone)
+    for cone, rays in zip(cones, cone_rays):
+        k = (rays, cone.colors)
         if k in keys:
             issues.append(f"DuplicateCone: {cone}")
         keys[k] = cone
-    for cone in fan.cones:
+    for cone in cones:
         for g in cone.generators:
             if is_zero(g):
                 issues.append(f"ZeroGenerator: {cone}")
@@ -197,19 +208,80 @@ def validate_fan(hs, fan):
                 issues.append(f"ZeroColorImage: {a} in {cone}")
             elif not cone_contains(cone.generators, sig):
                 issues.append(f"ColorNotInCone: {a} in {cone}")
-    for cone in fan.cones:
+    for cone in cones:
         if cone.colors - hs.R:
             continue  # reported as UnknownColor; its faces have no colors
         for face in cone_faces(cone.generators):
             cf = colored_face(hs, cone, face)
             if cone_key(hs, cf) not in keys:
                 issues.append(f"FaceClosureViolation: face {sorted(face)} of {cone}")
-    cones = list(fan.cones)
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            if _relints_meet(cones[i], cones[j]):
-                issues.append(f"OverlapViolation: {cones[i]} and {cones[j]}")
+    if not _overlap_free(hs.rank, cones, cone_rays):
+        issues += _pairwise_overlaps(cones)
     return issues
+
+
+def _walls(n, cone_rays):
+    """The wall table of the full-dimensional simplicial cones: each
+    (n-1)-subset of a cone's sorted rays -> [(cone index, side)], where side
+    is the sign of det(wall rays, opposite ray).  Cones that are not n
+    independent rays are left out."""
+    walls = {}
+    for k, rays in enumerate(cone_rays):
+        if len(rays) != n:
+            continue
+        d = det_int(rays)
+        if d == 0:
+            continue
+        for i in range(n):
+            # moving row i to the end takes n - 1 - i transpositions
+            walls.setdefault(rays[:i] + rays[i + 1:], []).append(
+                (k, (d > 0) == ((n - 1 - i) % 2 == 0)))
+    return walls
+
+
+def _closed(walls):
+    """Pseudo-manifold: every wall lies in exactly two cones, on opposite
+    sides."""
+    return bool(walls) and all(len(v) == 2 and v[0][1] != v[1][1]
+                               for v in walls.values())
+
+
+def _overlap_free(n, cones, cone_rays):
+    """Certify, with integer linear algebra only, that no two cones have
+    meeting relative interiors; False means "not certified", not "overlap".
+
+    The certificate holds when every cone's distinct nonzero primitive
+    generators are independent and no two cones have the same rays; the
+    full-dimensional cones are closed under wall crossing (`_closed`); every
+    other cone's rays are rays of a full-dimensional one; and a point inside
+    the first full-dimensional cone lies in no other.  The full-dimensional
+    cones then triangulate N_Q (pseudo-manifold plus degree one: De Loera,
+    Rambau and Santos, Triangulations, ch. 4), so the cones are faces of a
+    triangulation with distinct ray sets.
+    """
+    if n == 0 or len(set(cone_rays)) != len(cone_rays):
+        return False
+    for cone, rays in zip(cones, cone_rays):
+        if len({primitive(g) for g in cone.generators if not is_zero(g)}) != len(rays):
+            return False
+    walls = _walls(n, cone_rays)
+    if not _closed(walls):
+        return False
+    full = {k for v in walls.values() for k, _ in v}
+    full_sets = [set(cone_rays[k]) for k in full]
+    if not all(k in full or any(s.issuperset(rays) for s in full_sets)
+               for k, rays in enumerate(cone_rays)):
+        return False
+    first = cone_rays[min(full)]
+    p = [sum((j + 1) * r[i] for j, r in enumerate(first)) for i in range(n)]
+    return sum(cone_contains(cone_rays[k], p) for k in full) == 1
+
+
+def _pairwise_overlaps(cones):
+    """OverlapViolation for each pair of cones whose relative interiors
+    meet, tested pair by pair."""
+    return [f"OverlapViolation: {c1} and {c2}"
+            for c1, c2 in combinations(cones, 2) if _relints_meet(c1, c2)]
 
 
 def _relints_meet(c1, c2):
@@ -260,30 +332,17 @@ def fan_colors(fan):
 
 
 def is_complete(hs, fan):
-    """Support equals N_Q: every facet of a full-dimensional cone lies in
-    exactly two of them.  Exact only for a validated fan (no overlaps, which
-    are not checked here) whose full-dimensional cones are simplicial."""
+    """Support equals N_Q: every wall of a full-dimensional cone lies in
+    exactly two of them, on opposite sides.  Exact only for a validated fan
+    (no overlaps, which are not checked here) whose full-dimensional cones
+    are simplicial."""
     n = hs.rank
     if n == 0:
         return len(fan.cones) > 0
-    full = []
-    for cone in fan.cones:
-        rays = extreme_rays(cone.generators)
-        d = rank(rays)
-        if d == n:
-            if len(rays) != n:
-                raise UnsupportedFan("completeness test needs a simplicial fan")
-            full.append(frozenset(rays))
-    if not full:
-        return False
-    if n == 1:
-        return len(set(full)) == 2
-    from collections import Counter
-    walls = Counter()
-    for rays in full:
-        for facet in combinations(sorted(rays), n - 1):
-            walls[facet] += 1
-    return all(v == 2 for v in walls.values())
+    cone_rays = [extreme_rays(cone.generators) for cone in fan.cones]
+    if any(len(rays) > n and rank(rays) == n for rays in cone_rays):
+        raise UnsupportedFan("completeness test needs a simplicial fan")
+    return _closed(_walls(n, cone_rays))
 
 
 def is_locally_factorial(hs, fan):

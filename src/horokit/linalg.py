@@ -18,17 +18,8 @@ def vec(xs):
     return tuple(frac(x) for x in xs)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def dot(u, v):

@@ -1,15 +1,16 @@
 """
 Exact two-phase simplex over the rationals.
 
-It is the fallback of the fan geometry in `horo`: cone membership and
-extreme rays on linearly dependent generators, pointedness, faces of
-non-simplicial cones and overlaps of cones whose rays are dependent; a
-simplicial cone is answered by `linalg`.  It also serves the emptiness test
+It is the fallback of the fan geometry in `horo`: cone membership,
+extreme rays and pointedness on linearly dependent generators, faces of
+non-simplicial cones, and the pairwise overlap test of the fans that the
+wall certificate of `horo.validate_fan` does not cover (a complete
+simplicial fan is certified by integer determinants, a simplicial cone is
+answered by `linalg`).  It also serves the emptiness test
 `polyhedra.is_feasible`; every other polytope question reads the vertex
-table of `polyhedra`.  No
-floating point, Bland's rule throughout (no cycling).  Problem sizes are
-tiny (tens of variables), so a dense tableau is the simplest correct
-choice.
+table of `polyhedra`.  No floating point, Bland's rule throughout (no
+cycling).  Problem sizes are tiny (tens of variables), so a dense tableau is
+the simplest correct choice.
 """
 
 from fractions import Fraction

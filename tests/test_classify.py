@@ -6,7 +6,8 @@ import pytest
 from horokit import classify as cl, horo
 from horokit.classify import (FlagLeaf, ProjSpaceLeaf, RankOneLeaf, RCFail,
                               X1Spec, X2Spec, check_rc1, check_rc2, normalize)
-from horokit.errors import NotRestrictedForm, NotSmoothInput, SpecInvariantViolated
+from horokit.errors import (HorokitError, NotRestrictedForm, NotSmoothInput,
+                            RewriteDepthExceeded, SpecInvariantViolated)
 from horokit.rootdata import (GroupFactor, GroupProduct, Root, SL, Sp, Spin,
                               TORUS_FACTOR, TRIVIAL_FACTOR)
 
@@ -120,6 +121,14 @@ def test_normalize_fixtures():
     assert repr(nf3.spec.G) == "A2 x 1 x C* x C*"
     assert nf3.spec.beta == Root(0, 1)
     assert nf3.spec.a == (0, 2, 3)
+
+
+def test_normalize_depth_guard_is_a_domain_error():
+    # the CLI turns a HorokitError into exit 1; a bare RuntimeError would
+    # end in a traceback
+    with pytest.raises(RewriteDepthExceeded) as exc:
+        normalize(w1_raw(), _depth=65)
+    assert isinstance(exc.value, HorokitError)
 
 
 def test_normalize_idempotent():

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 from fractions import Fraction as F
-from hypothesis import given, settings, strategies as st
+from itertools import combinations, product
+from unittest import mock
+from hypothesis import example, given, settings, strategies as st
 
 from horokit import classify as cl, horo, lp
 from horokit.errors import NotAColor, NotComplete, NotLocallyFactorial
@@ -238,3 +242,117 @@ def test_cone_fast_paths_match_lp(pair):
     c1 = ColoredCone(g1, frozenset({"a"}))
     c2 = ColoredCone(g2, frozenset({"b"}))
     assert horo._relints_meet(c1, c2) == _lp_relints_meet(g1, g2)
+
+
+# The wall certificate of validate_fan (`_overlap_free`) against the pairwise
+# overlap test, on complete simplicial fans built by stellar subdivisions of
+# the fan over the cross-polytope, and on broken variants of them.
+
+def _one_color_hs(n):
+    # the color (0,a1) of SL(2) has sigma = e_1
+    G = GroupProduct((SL(2),) + (TORUS_FACTOR,) * (n - 1))
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return HomSpaceData(G, frozenset({Root(0, 1)}), basis)
+
+
+def _faces(maximal):
+    return sorted({frozenset(sub) for m in maximal for k in range(len(m) + 1)
+                   for sub in combinations(m, k)}, key=lambda f: (len(f), sorted(f)))
+
+
+def _cross_polytope(n):
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [frozenset(tuple(s * x for x in e) for s, e in zip(signs, units))
+            for signs in product((1, -1), repeat=n)]
+
+
+@st.composite
+def _subdivided_fan(draw):
+    n = draw(st.integers(1, 3))
+    maximal = _cross_polytope(n)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        sigma = draw(st.sampled_from(maximal))
+        tau = draw(st.sets(st.sampled_from(sorted(sigma)), min_size=2))
+        v = primitive(tuple(sum(x) for x in zip(*tau)))
+        maximal = [m - {t} | {v} for m in maximal if tau <= m for t in tau] + \
+            [m for m in maximal if not tau <= m]
+    return n, maximal
+
+
+BROKEN = ("none", "drop", "move", "duplicate", "no face", "non-simplicial")
+
+
+# Rank four only as a pinned example: its fan has 81 cones, and one pairwise
+# pass over them takes seconds.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_subdivided_fan(), st.sampled_from(BROKEN), st.booleans(),
+       st.randoms(use_true_random=False))
+@example((4, _cross_polytope(4)), "none", True, random.Random(0))
+def test_wall_certificate_matches_pairwise(built, broken, colored, rnd):
+    n, maximal = built
+    hs = _one_color_hs(n)
+    e1 = tuple(int(j == 0) for j in range(n))
+    color = frozenset({Root(0, 1)})
+
+    def cone(rays):
+        return ColoredCone(tuple(sorted(rays)), color if colored and e1 in rays else frozenset())
+
+    cones = [cone(f) for f in _faces(maximal)]
+    pick = rnd.choice(sorted(maximal, key=sorted))
+    if broken == "drop":
+        cones.remove(cone(pick))
+    elif broken == "move":
+        # move one ray of `pick` to the other side of the opposite wall
+        r = rnd.choice(sorted(pick))
+        moved = primitive(tuple(sum(x) - 2 * y for x, y in zip(zip(*pick), r)))
+        cones = [cone({moved if g == r else g for g in c.generators}) for c in cones]
+    elif broken == "duplicate":
+        c = rnd.choice(cones)
+        cones.append(ColoredCone(c.generators, color - c.colors))
+    elif broken == "no face":
+        cones.append(cone({primitive(tuple(sum(x) for x in zip(*pick)))}))
+    elif broken == "non-simplicial":
+        other = next(m for m in maximal if len(m & pick) == n - 1)
+        cones = [c for c in cones if set(c.generators) not in (pick, other)]
+        cones.append(cone(pick | other))
+    fan = ColoredFan(tuple(cones))
+
+    # record the pairwise pass if validate_fan falls back to it, so that
+    # pass runs once per example
+    fallback = []
+    pairwise = horo._pairwise_overlaps
+    with mock.patch.object(horo, "_pairwise_overlaps",
+                           lambda cs: fallback.append(pairwise(cs)) or fallback[-1]):
+        issues = horo.validate_fan(hs, fan)
+    certified = not fallback
+    pairs = pairwise(cones) if certified else fallback[0]
+    assert issues == [s for s in issues if not s.startswith("OverlapViolation")] + pairs
+    assert not (certified and pairs)
+    if broken == "none":
+        assert certified and issues == [] and horo.is_complete(hs, fan)
+    if broken in ("drop", "duplicate", "no face", "non-simplicial"):
+        assert not certified
+
+
+def _cycle_fan(rays):
+    cones = [ColoredCone(())] + [ColoredCone((r,)) for r in rays] + \
+        [ColoredCone((rays[k - 1], rays[k])) for k in range(len(rays))]
+    return cones, [horo.extreme_rays(c.generators) for c in cones]
+
+
+def test_wall_certificate_needs_sides_and_degree_one():
+    hs = _one_color_hs(2)
+    # five rays winding twice around the origin: every wall lies in two
+    # cones on opposite sides, yet each point is covered twice
+    twice, twice_rays = _cycle_fan([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)])
+    assert horo._closed(horo._walls(2, twice_rays))
+    # a cycle folded back at (-1, 0) and (-1, 2): those walls lie in two
+    # cones on one side, the angles between them are covered three times,
+    # and the point inside the first cone, (2, -1), once
+    folded, folded_rays = _cycle_fan([(1, 0), (0, 1), (-1, 0), (-1, 2), (-3, -1),
+                                      (0, -1)])
+    assert all(len(v) == 2 for v in horo._walls(2, folded_rays).values())
+    for cones, cone_rays in ((twice, twice_rays), (folded, folded_rays)):
+        assert not horo._overlap_free(2, cones, cone_rays)
+        issues = horo.validate_fan(hs, ColoredFan(tuple(cones)))
+        assert issues == horo._pairwise_overlaps(cones) and issues

@@ -277,6 +277,35 @@ def test_fan_geometry_work_counts(monkeypatch):
     assert work() == first
 
 
+B3_TAIL = (GroupProduct((TRIVIAL_FACTOR, TORUS_FACTOR, TORUS_FACTOR, TORUS_FACTOR,
+                          Spin(7))),
+           (Root(0, 0), Root(1, 0), Root(2, 0), Root(3, 0), Root(4, 1), Root(4, 3)),
+           (0, 1, 2, 3))
+
+
+def test_validate_fan_work_counts(monkeypatch):
+    # deterministic work counts: the wall certificate answers the overlaps
+    # of the engine's complete simplicial fans with no LP, and a fan it does
+    # not cover (a cone with a line) still reaches the simplex
+    from horokit import horo, lp
+    from horokit.horo import ColoredCone, ColoredFan
+    calls = []
+    solve_lp = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp",
+                        lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    _, X = x1(*README_SPEC)
+    _, X2 = x2(*B3_TAIL)
+    for Y in (X, X2):
+        assert horo.validate_fan(Y.hs, Y.fan) == []
+    assert calls == []
+    line = ColoredFan((ColoredCone((), frozenset()),
+                       ColoredCone(((1, 0), (-1, 0)), frozenset()),
+                       ColoredCone(((1, 0),), frozenset()),
+                       ColoredCone(((-1, 0),), frozenset())))
+    issues = horo.validate_fan(X.hs, line)
+    assert calls and any(s.startswith("OverlapViolation") for s in issues)
+
+
 def test_predict_trace_skeletons():
     spec, _ = x1(*CHAIN_012_TRIVIAL)
     sk = mmp.predict_trace_case1(spec)

@@ -14,11 +14,11 @@ spec = cl.X1Spec(G, Root(0, 1), (Root(1, 0), Root(2, 0), Root(3, 0)), (0, 2, 3))
 X = cl.build_x1(spec)
 
 print("== Luna-Vust checks ==")
-print("fan violations:", horo.validate_fan(X.hs, X.fan))
+print("fan violations:", horo.validate_fan(X))
 print("complete:", X.complete(), " locally factorial:", X.locally_factorial(),
       " smooth:", X.smooth())
 print("picard rank:", X.picard_rank(), " dim X:", X.dim())
-print("shape:", horo.case_detect(X.hs, X.fan))
+print("shape:", horo.case_detect(X))
 
 print("\n== Boundary divisors and the nef basis ==")
 D0, D3 = X.boundary_divisor(0), X.boundary_divisor(3)

@@ -10,7 +10,8 @@ Spec files are JSON documents with the keys
     beta    root token, x1 only           e.g. "(0,a3)"
     alphas  list of root tokens           e.g. ["(1,triv)", "(0,a1)"]
     a       list of integers
-    m_basis list of integer weight vectors     (fan kind)
+    m_basis list of integer weight vectors     (fan kind), one entry per
+            fundamental weight and per C* factor, in factor order
     colors  list of root tokens                (fan kind)
     cones   [{"generators": [[...]], "colors": [...]}, ...]  (fan kind)
 
@@ -163,7 +164,7 @@ def spec_to_doc(spec):
 def cmd_check(args):
     spec = load_spec(args.file)
     X = build_variety(spec)
-    issues = horo.validate_fan(X.hs, X.fan)
+    issues = horo.validate_fan(X)
     report = {"validate": not issues, "violations": issues}
     ok = not issues
     if not issues:

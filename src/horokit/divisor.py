@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import rootdata
 from .errors import AssertionBZeta, NotCartier, NotQCartier
-from .horo import cone_contains, sigma
+from .horo import cone_contains
 from .linalg import dot, frac, solve
 from .polyhedra import InequalitySystem, color_tag, gstable_tag, lattice_points
 
@@ -127,7 +127,7 @@ def ample_status(X, D, pl=None):
     if X.rank == 0:
         convex = strict = True
     for a in sorted(X.hs.R - X.colors_used()):
-        s = sigma(X.hs, a)
+        s = X.image(a)
         hv = h.value_at(s) if X.rank else Fraction(0)
         ca = D.coeff(("c", a))
         if hv > ca:
@@ -207,7 +207,7 @@ def class_cartier(X, D):
         if any((u - v).denominator != 1 for u, v in zip(form, base)):
             return False
     for a in sorted(X.hs.R - X.colors_used()):
-        s = sigma(X.hs, a)
+        s = X.image(a)
         if (D.coeff(("c", a)) - dot(base, s)).denominator != 1:
             return False
     return True

@@ -1,7 +1,7 @@
 """
-Horospherical homogeneous data, colored cones and fans, and the embedding
-checks: validity, completeness, local factoriality, Picard rank, smoothness
-and the rank-two shape detection.
+Horospherical homogeneous data, colored cones and fans, the variety
+(`HoroVariety`, whose methods are the embedding checks), the colored-fan
+axioms (`validate_fan`) and the rank-two shape detection.
 
 Coordinates: the lattice N is presented in the basis dual to the stored
 basis of M, so sigma(alpha) is the vector of coroot pairings against the M
@@ -11,7 +11,9 @@ sorted tuple of primitive extreme rays.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
+from math import gcd
 
 from . import lp, rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
@@ -29,6 +31,8 @@ class HomSpaceData:
 
     def __post_init__(self):
         object.__setattr__(self, "R", frozenset(self.R))
+        if any(len(m) != self.G.weight_dim for m in self.M_basis):
+            raise ValueError(f"M basis weights need {self.G.weight_dim} entries")
         object.__setattr__(self, "M_basis",
                            tuple(tuple(Fraction(v) for v in m) for m in self.M_basis))
         for alpha in self.R:
@@ -174,17 +178,18 @@ def cone_key(hs, cone):
     return (extreme_rays(cone.generators), frozenset(cone.colors))
 
 
-def validate_fan(hs, fan):
-    """Check the colored-fan axioms; returns a list of violation strings.
+def validate_fan(X):
+    """The colored-fan axioms on the fan of X: a list of violation strings.
 
     That the cones of a complete simplicial fan do not overlap is certified
     by crossing its walls with integer determinants (`_overlap_free`), with
     no LP.  Only a fan the certificate does not cover is tested pair by pair,
     with the simplex of `lp` as the fallback for dependent pairs.
     """
+    hs = X.hs
     issues = []
-    cones = list(fan.cones)
-    cone_rays = [extreme_rays(c.generators) for c in cones]
+    cones = list(X.fan.cones)
+    cone_rays = X.cone_rays()
     keys = {}
     for cone, rays in zip(cones, cone_rays):
         k = (rays, cone.colors)
@@ -203,7 +208,7 @@ def validate_fan(hs, fan):
             if a not in hs.R:
                 issues.append(f"UnknownColor: {a} in {cone}")
                 continue
-            sig = sigma(hs, a)
+            sig = X.image(a)
             if is_zero(sig):
                 issues.append(f"ZeroColorImage: {a} in {cone}")
             elif not cone_contains(cone.generators, sig):
@@ -215,7 +220,7 @@ def validate_fan(hs, fan):
             cf = colored_face(hs, cone, face)
             if cone_key(hs, cf) not in keys:
                 issues.append(f"FaceClosureViolation: face {sorted(face)} of {cone}")
-    if not _overlap_free(hs.rank, cones, cone_rays):
+    if not _overlap_free(X):
         issues += _pairwise_overlaps(cones)
     return issues
 
@@ -246,7 +251,7 @@ def _closed(walls):
                                for v in walls.values())
 
 
-def _overlap_free(n, cones, cone_rays):
+def _overlap_free(X):
     """Certify, with integer linear algebra only, that no two cones have
     meeting relative interiors; False means "not certified", not "overlap".
 
@@ -259,12 +264,13 @@ def _overlap_free(n, cones, cone_rays):
     Rambau and Santos, Triangulations, ch. 4), so the cones are faces of a
     triangulation with distinct ray sets.
     """
+    n, cone_rays = X.rank, X.cone_rays()
     if n == 0 or len(set(cone_rays)) != len(cone_rays):
         return False
-    for cone, rays in zip(cones, cone_rays):
+    for cone, rays in zip(X.fan.cones, cone_rays):
         if len({primitive(g) for g in cone.generators if not is_zero(g)}) != len(rays):
             return False
-    walls = _walls(n, cone_rays)
+    walls = X.walls()
     if not _closed(walls):
         return False
     full = {k for v in walls.values() for k, _ in v}
@@ -316,86 +322,29 @@ def _relints_meet(c1, c2):
     return res.status == lp.OPTIMAL
 
 
-def fan_edges(fan):
-    """Primitive rays of all one-dimensional faces, sorted."""
-    rays = set()
-    for cone in fan.cones:
-        rays.update(extreme_rays(cone.generators))
-    return tuple(sorted(rays))
-
-
-def fan_colors(fan):
-    out = set()
-    for cone in fan.cones:
-        out |= set(cone.colors)
-    return frozenset(out)
-
-
-def is_complete(hs, fan):
-    """Support equals N_Q: every wall of a full-dimensional cone lies in
-    exactly two of them, on opposite sides.  Exact only for a validated fan
-    (no overlaps, which are not checked here) whose full-dimensional cones
-    are simplicial."""
-    n = hs.rank
-    if n == 0:
-        return len(fan.cones) > 0
-    cone_rays = [extreme_rays(cone.generators) for cone in fan.cones]
-    if any(len(rays) > n and rank(rays) == n for rays in cone_rays):
-        raise UnsupportedFan("completeness test needs a simplicial fan")
-    return _closed(_walls(n, cone_rays))
-
-
-def is_locally_factorial(hs, fan):
-    """Every cone generated by part of a Z-basis, colors injecting into it."""
-    for cone in fan.cones:
-        rays = extreme_rays(cone.generators)
-        d = rank(rays)
-        if len(rays) != d:
-            return False
-        if d > 0:
-            g = 0
-            from math import gcd
-            for cols in combinations(range(hs.rank), d):
-                sub = [[r[c] for c in cols] for r in rays]
-                g = gcd(g, abs(det_int(sub)))
-            if g != 1:
-                return False
-        seen = set()
-        for a in cone.colors:
-            s = sigma(hs, a)
-            if s not in rays or s in seen:
-                return False
-            seen.add(s)
-    return True
-
-
-def picard_rank(hs, fan):
-    """Edges minus rank plus colors off the fan; exact under the
-    precondition of is_complete (validated, non-overlapping, simplicial)."""
-    if not is_locally_factorial(hs, fan):
-        raise NotLocallyFactorial("picard_rank needs a locally factorial fan")
-    if not is_complete(hs, fan):
-        raise NotComplete("picard_rank needs a complete fan")
-    edges = fan_edges(fan)
-    return (len(edges) - hs.rank) + len(hs.R - fan_colors(fan))
-
-
-def is_smooth_variety(hs, fan):
-    if not is_locally_factorial(hs, fan):
-        return False
-    levi = hs.levi_roots()
-    for cone in fan.cones:
-        if cone.colors and not rootdata.is_smooth_pair(hs.G, levi, cone.colors):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The bundled variety object used by the divisor / mmp layers
 
 
+def _once(method):
+    """Derive a HoroVariety method's value once per variety and argument."""
+    @wraps(method)
+    def cached(self, *args):
+        key = (method.__name__,) + args
+        if key not in self._caches:
+            self._caches[key] = method(self, *args)
+        return self._caches[key]
+    return cached
+
+
 class HoroVariety:
-    """A complete embedding plus a fixed boundary-divisor order.
+    """A colored fan on homogeneous data, plus a fixed boundary-divisor order.
+
+    Any colored fan can be wrapped, an invalid one included (`cli` builds the
+    variety before `validate_fan(X)` reports on it).  `complete()` and
+    `picard_rank()` need a fan that `validate_fan` accepts, with simplicial
+    full-dimensional cones; `skeleton()` and the divisor layer also need it
+    complete.
 
     divisors is a tuple of descriptors, one per B-stable prime divisor:
     ("x", ray) for a G-stable edge with the given primitive generator, and
@@ -407,7 +356,7 @@ class HoroVariety:
         self.hs = hs
         self.fan = fan
         self._caches = {}
-        color_rays = {primitive(sigma(hs, a)) for a in hs.R & self.colors_used()}
+        color_rays = {primitive(self.image(a)) for a in hs.R & self.colors_used()}
         gstable = [e for e in self.edges() if e not in color_rays]
         if divisors is None:
             divisors = tuple(("x", e) for e in gstable) + \
@@ -423,53 +372,100 @@ class HoroVariety:
     def rank(self):
         return self.hs.rank
 
-    def _cached(self, key, fn):
-        if key not in self._caches:
-            self._caches[key] = fn()
-        return self._caches[key]
-
+    @_once
     def cone_rays(self):
         """Extreme rays of each cone, in fan order."""
-        return self._cached("rays", lambda: tuple(
-            extreme_rays(c.generators) for c in self.fan.cones))
+        return tuple(extreme_rays(c.generators) for c in self.fan.cones)
 
+    @_once
+    def walls(self):
+        """The wall table (`_walls`) of the full-dimensional simplicial cones."""
+        return _walls(self.rank, self.cone_rays())
+
+    @_once
+    def image(self, a):
+        """sigma(a), the image of the color a in N; NotAColor outside R."""
+        return sigma(self.hs, a)
+
+    @_once
     def edges(self):
-        return self._cached("edges", lambda: tuple(sorted(
-            {r for rays in self.cone_rays() for r in rays})))
+        """Primitive rays of all one-dimensional faces, sorted."""
+        return tuple(sorted({r for rays in self.cone_rays() for r in rays}))
 
-    def skeleton(self):
-        """(support, cones), derived once: the (descriptor, point) pairs
-        pinning a PL function (G-stable rays, then the images of the colors
-        in the fan), and each full-dimensional cone once, in fan order, as
-        rays -> (indices of the support points inside, do they span N?)."""
-        def build():
-            support = [(d, self.row_vector(d)) for d in
-                       [("x", r) for r in self.gstable_rays] +
-                       [("c", a) for a in sorted(self.colors_used())]]
-            cones = {}
-            for rays in self.cone_rays():
-                if len(rays) >= self.rank and rays not in cones:
-                    inside = [i for i, (_, p) in enumerate(support)
-                              if cone_contains(rays, p)]
-                    pts = [support[i][1] for i in inside]
-                    cones[rays] = (inside, rank(pts) == self.rank)
-            return support, cones
-        return self._cached("skeleton", build)
-
+    @_once
     def colors_used(self):
-        return self._cached("fx", lambda: fan_colors(self.fan))
+        return frozenset().union(*(c.colors for c in self.fan.cones))
 
+    @_once
+    def skeleton(self):
+        """(support, cones): the (descriptor, point) pairs pinning a PL
+        function (G-stable rays, then the images of the colors in the fan),
+        and each full-dimensional cone once, in fan order, as
+        rays -> (indices of the support points inside, do they span N?)."""
+        support = [(d, self.row_vector(d)) for d in
+                   [("x", r) for r in self.gstable_rays] +
+                   [("c", a) for a in sorted(self.colors_used())]]
+        cones = {}
+        for rays in self.cone_rays():
+            if len(rays) >= self.rank and rays not in cones:
+                inside = [i for i, (_, p) in enumerate(support)
+                          if cone_contains(rays, p)]
+                pts = [support[i][1] for i in inside]
+                cones[rays] = (inside, rank(pts) == self.rank)
+        return support, cones
+
+    @_once
     def complete(self):
-        return self._cached("complete", lambda: is_complete(self.hs, self.fan))
+        """Support equals N_Q: every wall of a full-dimensional cone lies in
+        exactly two of them, on opposite sides.  Exact only for a validated
+        fan (no overlaps, which are not checked here) whose full-dimensional
+        cones are simplicial."""
+        n = self.rank
+        if n == 0:
+            return len(self.fan.cones) > 0
+        if any(len(rays) > n and rank(rays) == n for rays in self.cone_rays()):
+            raise UnsupportedFan("completeness test needs a simplicial fan")
+        return _closed(self.walls())
 
+    @_once
     def locally_factorial(self):
-        return self._cached("locfact", lambda: is_locally_factorial(self.hs, self.fan))
+        """Every cone generated by part of a Z-basis, colors injecting into it."""
+        for cone, rays in zip(self.fan.cones, self.cone_rays()):
+            d = rank(rays)
+            if len(rays) != d:
+                return False
+            if d > 0:
+                g = 0
+                for cols in combinations(range(self.rank), d):
+                    sub = [[r[c] for c in cols] for r in rays]
+                    g = gcd(g, abs(det_int(sub)))
+                if g != 1:
+                    return False
+            seen = set()
+            for a in cone.colors:
+                s = self.image(a)
+                if s not in rays or s in seen:
+                    return False
+                seen.add(s)
+        return True
 
+    @_once
     def smooth(self):
-        return self._cached("smooth", lambda: is_smooth_variety(self.hs, self.fan))
+        if not self.locally_factorial():
+            return False
+        levi = self.hs.levi_roots()
+        return all(not cone.colors or rootdata.is_smooth_pair(self.G, levi, cone.colors)
+                   for cone in self.fan.cones)
 
+    @_once
     def picard_rank(self):
-        return self._cached("picard", lambda: picard_rank(self.hs, self.fan))
+        """Edges minus rank plus colors off the fan; exact under the
+        precondition of complete() (validated, non-overlapping, simplicial)."""
+        if not self.locally_factorial():
+            raise NotLocallyFactorial("picard_rank needs a locally factorial fan")
+        if not self.complete():
+            raise NotComplete("picard_rank needs a complete fan")
+        return (len(self.edges()) - self.rank) + len(self.hs.R - self.colors_used())
 
     def dim(self):
         return self.hs.open_orbit_dim()
@@ -477,7 +473,7 @@ class HoroVariety:
     def row_vector(self, desc):
         if desc[0] == "x":
             return tuple(Fraction(v) for v in desc[1])
-        return tuple(Fraction(v) for v in sigma(self.hs, desc[1]))
+        return tuple(Fraction(v) for v in self.image(desc[1]))
 
     def boundary_divisor(self, i):
         from .divisor import BStableDivisor
@@ -517,12 +513,12 @@ class OtherShape:
     reason: str
 
 
-def _subset_cone_map(hs, fan, rays):
+def _subset_cone_map(X, rays):
     """Check the fan is exactly {cone(S) : S proper subset of rays}."""
-    keys = {cone_key(hs, c) for c in fan.cones}
+    keys = {(r, c.colors) for c, r in zip(X.fan.cones, X.cone_rays())}
     sig_by_ray = {}
-    for a in fan_colors(fan):
-        sig_by_ray.setdefault(primitive(sigma(hs, a)), set()).add(a)
+    for a in X.colors_used():
+        sig_by_ray.setdefault(primitive(X.image(a)), set()).add(a)
     expected = set()
     m = len(rays)
     for size in range(m):
@@ -532,25 +528,25 @@ def _subset_cone_map(hs, fan, rays):
     return keys == expected
 
 
-def case_detect(hs, fan):
-    """Match a smooth complete rank-two fan against the three shapes."""
-    n = hs.rank
-    R = hs.R
-    fx = fan_colors(fan)
+def case_detect(X):
+    """Match the fan of a smooth complete rank-two X against the three shapes."""
+    n = X.rank
+    R = X.hs.R
+    fx = X.colors_used()
     if n == 0:
         if len(R) == 2 and not fx:
             return Case0()
         return OtherShape("rank 0 but |R| != 2")
-    edges = fan_edges(fan)
+    edges = X.edges()
     outside = sorted(R - fx)
 
     if len(outside) == 1 and len(edges) == n + 1:
         beta = outside[0]
         if not is_zero([sum(e[i] for e in edges) for i in range(n)]):
             return OtherShape("edges do not sum to zero")
-        if not _subset_cone_map(hs, fan, edges):
+        if not _subset_cone_map(X, edges):
             return OtherShape("cone set is not the projective-space pattern")
-        sb = sigma(hs, beta)
+        sb = X.image(beta)
         best = None
         for j, e0 in enumerate(edges):
             rest = [e for k, e in enumerate(edges) if k != j]

@@ -45,7 +45,7 @@ def test_builders_pass_all_checks():
     ]
     for spec in specs:
         X = cl.build_x1(spec) if isinstance(spec, X1Spec) else cl.build_x2(spec)
-        assert horo.validate_fan(X.hs, X.fan) == []
+        assert horo.validate_fan(X) == []
         assert X.complete() and X.locally_factorial()
         assert X.picard_rank() == 2
 

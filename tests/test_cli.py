@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from horokit import cli
 
@@ -114,6 +114,20 @@ def test_wrong_field_types_exit_2(tmp_path):
     f.write_text(json.dumps(FAN_A1 | {"cones": [{"generators": [[1, 0, 0]],
                                                   "colors": []}]}))
     assert cli.main(["check", str(f)]) == 2
+    # M-basis weights shorter (a traceback once) or longer (silently cut
+    # once) than the weights of the group
+    short = {"group": "B3 x C*", "kind": "fan", "m_basis": [[2, 2]],
+             "colors": ["(0,a1)", "(0,a2)", "(0,a3)"],
+             "cones": [{"generators": [[-1]], "colors": ["(0,a3)"]}]}
+    long = {"group": "A2 x C*", "kind": "fan", "m_basis": [[1, 0, 0, 7]],
+            "colors": ["(0,a1)", "(0,a2)"],
+            "cones": [{"generators": [], "colors": []},
+                      {"generators": [[1]], "colors": []},
+                      {"generators": [[-1]], "colors": []}]}
+    for name, doc in (("short", short), ("long", long)):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["check", str(f)]) == 2, name
 
 
 def test_subprocess_entry_point(tmp_path):
@@ -124,18 +138,29 @@ def test_subprocess_entry_point(tmp_path):
     assert json.loads(proc.stdout)["picard_rank"] == 2
 
 
-# Fuzzing the exit-code contract on mutated copies of W3: each field is
-# dropped, replaced by a value of the wrong JSON type, or re-valued within
-# its type.
+# Fuzzing the exit-code contract on mutated copies of W3 and FAN_A1: each
+# field is dropped, replaced by a value of the wrong JSON type, or re-valued
+# within its type, weights and generators of other lengths included.
 def _type_ok(key, v):
+    def strings(x):
+        return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+    def ints(x):
+        return isinstance(x, list) and all(type(t) is int for t in x)
+
     if key == "group":
-        return isinstance(v, str) or (isinstance(v, list) and
-                                      all(isinstance(x, str) for x in v))
+        return isinstance(v, str) or strings(v)
     if key in ("kind", "beta"):
         return isinstance(v, str)
-    if key == "alphas":
-        return isinstance(v, list) and all(isinstance(x, str) for x in v)
-    return isinstance(v, list) and all(type(x) is int for x in v)
+    if key in ("alphas", "colors"):
+        return strings(v)
+    if key == "m_basis":
+        return isinstance(v, list) and all(map(ints, v))
+    if key == "cones":
+        return isinstance(v, list) and all(
+            isinstance(c, dict) and _type_ok("m_basis", c.get("generators", []))
+            and strings(c.get("colors", [])) for c in v)
+    return ints(v)
 
 
 _JSON = st.recursive(
@@ -145,43 +170,66 @@ _JSON = st.recursive(
     max_leaves=5)
 _ROOTS = st.sampled_from(["(0,a1)", "(0,a2)", "(0,a9)", "(1,triv)",
                           "(2,triv)", "(3,triv)", "(4,triv)", "(1,a1)", "a1"])
+_VECTORS = st.lists(st.lists(st.integers(-1, 2), min_size=1, max_size=4),
+                    max_size=3)
 _REVALUE = {
     "group": st.sampled_from(["A2 x 1 x C* x C*", "A1 x 1 x C* x C*",
                               "A2 x C* x C*", "A2 x 1 x C* x C* x C*",
-                              "B2 x 1 x C* x C*", "Z3", ""])
+                              "B2 x 1 x C* x C*", "A1 x C* x C*", "B3 x C*",
+                              "Z3", ""])
     | st.lists(st.sampled_from(["A2", "1", "C*", "G2", "X"]), max_size=4),
     "kind": st.sampled_from(["x1", "x2", "fan", "x3"]),
     "beta": _ROOTS,
     "alphas": st.lists(_ROOTS, max_size=4),
     "a": st.lists(st.integers(-1, 4), max_size=4),
+    "m_basis": _VECTORS,
+    "colors": st.lists(_ROOTS, max_size=3),
+    "cones": st.lists(st.fixed_dictionaries(
+        {"generators": _VECTORS, "colors": st.lists(_ROOTS, max_size=2)}),
+        max_size=4),
 }
 
 
 @st.composite
-def _mutated_w3(draw):
-    doc = dict(W3)
+def _mutated_doc(draw):
+    """(document, must it exit 2?)"""
+    base = draw(st.sampled_from((W3, FAN_A1)))
+    doc = dict(base)
     wrong_type = False
-    for key in draw(st.lists(st.sampled_from(sorted(_REVALUE)), min_size=1,
+    for key in draw(st.lists(st.sampled_from(sorted(base)), min_size=1,
                              max_size=3, unique=True)):
-        op = draw(st.sampled_from(("drop", "retype", "revalue")))
+        ops = ("drop", "retype", "revalue") + \
+            (("resize",) if key in ("m_basis", "cones") else ())
+        op = draw(st.sampled_from(ops))
         if op == "drop":
             doc.pop(key)
         elif op == "retype":
             doc[key] = draw(_JSON.filter(lambda v: not _type_ok(key, v)))
             wrong_type = True
-        else:
+        elif op == "revalue":
             doc[key] = draw(_REVALUE[key])
-    return doc, wrong_type
+        else:
+            # cut or pad every weight or generator to another length
+            k, pad = draw(st.sampled_from((1, 2, 4, 5))), draw(st.integers(-1, 2))
+            resize = lambda vs: [(v + [pad] * k)[:k] for v in vs]
+            doc[key] = resize(doc[key]) if key == "m_basis" else \
+                [c | {"generators": resize(c["generators"])} for c in doc[key]]
+    # the weights of FAN_A1's group A1 x C* x C* have three entries
+    wrong_length = doc.get("group") == FAN_A1["group"] and \
+        doc.get("kind") == "fan" and _type_ok("m_basis", doc.get("m_basis")) and \
+        any(len(w) != 3 for w in doc["m_basis"])
+    return doc, wrong_type or wrong_length
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_mutated_w3())
+@given(_mutated_doc())
+@example((FAN_A1 | {"m_basis": [[0, 1, 0, 2], [0, 0, 1, 2]]}, True))
 def test_exit_code_contract_on_mutated_specs(tmp_path, case):
-    doc, wrong_type = case
+    doc, input_error = case
     f = tmp_path / "fuzz.json"
     f.write_text(json.dumps(doc))
     code = cli.main(["check", str(f)])
     assert code in (0, 1, 2), doc
-    if wrong_type:
+    if input_error:
         assert code == 2, doc

@@ -118,7 +118,7 @@ def test_case2_shape_on_tied_toric_data():
         for ry in ((0, 1), (0, -1)):
             cones.append(ColoredCone((rx, ry), frozenset()))
     fan = ColoredFan(tuple(cones))
-    shape = horo.case_detect(hs, fan)
+    shape = horo.case_detect(horo.HoroVariety(hs, fan))
     assert isinstance(shape, horo.Case2Shape)
     assert (shape.r, shape.s) == (1, 1) and shape.a == (0,)
 
@@ -127,7 +127,7 @@ def test_case2_fan_validates():
     spec = X2Spec(GroupProduct((TRIVIAL_FACTOR, SL(2), Spin(7))),
                   (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))
     X = cl.build_x2(spec)
-    assert horo.validate_fan(X.hs, X.fan) == []
+    assert horo.validate_fan(X) == []
     assert X.smooth()
 
 
@@ -204,7 +204,7 @@ def test_rank_three_second_family_round_trip():
                   (0, 1, 3))
     assert cl.check_rc2(spec) == "c"
     X = cl.build_x2(spec)
-    shape = horo.case_detect(X.hs, X.fan)
+    shape = horo.case_detect(X)
     assert isinstance(shape, horo.Case2Shape)
     assert (shape.r, shape.s, shape.a) == (2, 1, (1, 3))
     trace = mmp.run_log_mmp(
@@ -230,7 +230,7 @@ def test_exceptional_anchor_through_engine():
 def test_cli_invalid_fan_exits_1(tmp_path):
     import json
     from horokit import cli
-    doc = {"group": "A2", "kind": "fan", "m_basis": [[0, 1, 0]],
+    doc = {"group": "A2", "kind": "fan", "m_basis": [[0, 1]],
            "colors": ["(0,a1)", "(0,a2)"],
            "cones": [{"generators": [[1]], "colors": []},
                      {"generators": [[-1]], "colors": []}]}

@@ -39,11 +39,11 @@ def test_sigma():
 
 def test_validate_fan():
     X = cl.build_x1(w3_spec())
-    assert horo.validate_fan(X.hs, X.fan) == []
+    assert horo.validate_fan(X) == []
     # drop a face of a maximal cone
     cones = [c for c in X.fan.cones if c.generators != ((1, 0),)]
     bad = ColoredFan(tuple(cones))
-    issues = horo.validate_fan(X.hs, bad)
+    issues = horo.validate_fan(horo.HoroVariety(X.hs, bad))
     assert any("FaceClosureViolation" in s for s in issues)
     # a cone with a line
     hs = X.hs
@@ -51,21 +51,21 @@ def test_validate_fan():
                        ColoredCone(((1, 0), (-1, 0)), frozenset()),
                        ColoredCone(((1, 0),), frozenset()),
                        ColoredCone(((-1, 0),), frozenset())))
-    issues = horo.validate_fan(hs, line)
+    issues = horo.validate_fan(horo.HoroVariety(hs, line))
     assert any("LineViolation" in s for s in issues)
 
 
 def test_is_complete():
     X = cl.build_x1(w3_spec())
-    assert horo.is_complete(X.hs, X.fan)
+    assert X.complete()
     zero_only = ColoredFan((ColoredCone((), frozenset()),))
-    assert not horo.is_complete(X.hs, zero_only)
+    assert not horo.HoroVariety(X.hs, zero_only).complete()
     X2 = cl.build_x2(_case2_spec())
-    assert horo.is_complete(X2.hs, X2.fan)
+    assert X2.complete()
     # rank zero: the one-cone fan is complete
     G = GroupProduct((SL(3),))
     hs0 = HomSpaceData(G, frozenset({Root(0, 1), Root(0, 2)}), ())
-    assert horo.is_complete(hs0, ColoredFan((ColoredCone((), frozenset()),)))
+    assert horo.HoroVariety(hs0, ColoredFan((ColoredCone((), frozenset()),))).complete()
 
 
 def _case2_spec():
@@ -76,14 +76,14 @@ def _case2_spec():
 
 def test_is_locally_factorial():
     X = cl.build_x1(w3_spec())
-    assert horo.is_locally_factorial(X.hs, X.fan)
+    assert X.locally_factorial()
     hs = X.hs
     # index-two cone
     fan = ColoredFan((ColoredCone((), frozenset()),
                       ColoredCone(((1, 0),), frozenset()),
                       ColoredCone(((1, 2),), frozenset()),
                       ColoredCone(((1, 0), (1, 2)), frozenset())))
-    assert not horo.is_locally_factorial(hs, fan)
+    assert not horo.HoroVariety(hs, fan).locally_factorial()
     # two colors on one generator: sigma is not injective into the basis
     G = GroupProduct((SL(3),))
     w1 = G.fundamental_weight(Root(0, 1))
@@ -93,7 +93,7 @@ def test_is_locally_factorial():
     assert horo.sigma(hs2, Root(0, 1)) == horo.sigma(hs2, Root(0, 2)) == (1,)
     fan2 = ColoredFan((ColoredCone((), frozenset()),
                        ColoredCone(((1,),), frozenset({Root(0, 1), Root(0, 2)}))))
-    assert not horo.is_locally_factorial(hs2, fan2)
+    assert not horo.HoroVariety(hs2, fan2).locally_factorial()
 
 
 def test_picard_rank():
@@ -103,23 +103,23 @@ def test_picard_rank():
     G = GroupProduct((SL(3),))
     hs0 = HomSpaceData(G, frozenset({Root(0, 1), Root(0, 2)}), ())
     fan0 = ColoredFan((ColoredCone((), frozenset()),))
-    assert horo.picard_rank(hs0, fan0) == 2
+    assert horo.HoroVariety(hs0, fan0).picard_rank() == 2
     # toric projective line
     GT = GroupProduct((TORUS_FACTOR,))
     hs1 = HomSpaceData(GT, frozenset(), ((F(1),),))
     p1 = ColoredFan((ColoredCone((), frozenset()),
                      ColoredCone(((1,),), frozenset()),
                      ColoredCone(((-1,),), frozenset())))
-    assert horo.picard_rank(hs1, p1) == 1
+    assert horo.HoroVariety(hs1, p1).picard_rank() == 1
     with pytest.raises(NotComplete):
-        horo.picard_rank(hs1, ColoredFan((ColoredCone((), frozenset()),)))
+        horo.HoroVariety(hs1, ColoredFan((ColoredCone((), frozenset()),))).picard_rank()
     X = cl.build_x1(w3_spec())
     bad = ColoredFan((ColoredCone((), frozenset()),
                       ColoredCone(((1, 0),), frozenset()),
                       ColoredCone(((1, 2),), frozenset()),
                       ColoredCone(((1, 0), (1, 2)), frozenset())))
     with pytest.raises(NotLocallyFactorial):
-        horo.picard_rank(X.hs, bad)
+        horo.HoroVariety(X.hs, bad).picard_rank()
 
 
 def test_is_smooth_variety():
@@ -129,7 +129,7 @@ def test_is_smooth_variety():
     p1 = ColoredFan((ColoredCone((), frozenset()),
                      ColoredCone(((1,),), frozenset()),
                      ColoredCone(((-1,),), frozenset())))
-    assert horo.is_smooth_variety(hs1, p1)
+    assert horo.HoroVariety(hs1, p1).smooth()
     assert cl.build_x1(w3_spec()).smooth()
     # a quadruple violating the block condition: lone root deep in a
     # non-A/C factor
@@ -158,36 +158,37 @@ def test_picard_rank_basis_relabel_invariant():
     cones = tuple(ColoredCone(tuple(flip(g) for g in c.generators), c.colors)
                   for c in X.fan.cones)
     fan2 = ColoredFan(cones)
-    assert horo.picard_rank(hs2, fan2) == X.picard_rank()
-    assert horo.is_smooth_variety(hs2, fan2) == X.smooth()
+    X2 = horo.HoroVariety(hs2, fan2)
+    assert X2.picard_rank() == X.picard_rank()
+    assert X2.smooth() == X.smooth()
 
 
 def test_case_detect_round_trip():
     spec = case1_spec_nontrivial()
     X = cl.build_x1(spec)
-    shape = horo.case_detect(X.hs, X.fan)
+    shape = horo.case_detect(X)
     assert isinstance(shape, horo.Case1Shape)
     assert shape.a == (1, 2) and shape.beta == Root(0, 3)
     w3 = cl.build_x1(w3_spec())
-    s3 = horo.case_detect(w3.hs, w3.fan)
+    s3 = horo.case_detect(w3)
     assert isinstance(s3, horo.Case1Shape) and s3.a == (2, 3)
     spec2 = _case2_spec()
     X2 = cl.build_x2(spec2)
-    s2 = horo.case_detect(X2.hs, X2.fan)
+    s2 = horo.case_detect(X2)
     assert isinstance(s2, horo.Case2Shape)
     assert (s2.r, s2.s, s2.a) == (1, 1, (2,))
     # rank 0
     G = GroupProduct((SL(3),))
     hs0 = HomSpaceData(G, frozenset({Root(0, 1), Root(0, 2)}), ())
     fan0 = ColoredFan((ColoredCone((), frozenset()),))
-    assert isinstance(horo.case_detect(hs0, fan0), horo.Case0)
+    assert isinstance(horo.case_detect(horo.HoroVariety(hs0, fan0)), horo.Case0)
 
 
 def test_validate_fan_reports_unknown_color():
     G = GroupProduct((SL(2), TORUS_FACTOR, TORUS_FACTOR))
     hs = HomSpaceData(G, frozenset(), ((0, 1, 0), (0, 0, 1)))
     fan = ColoredFan((ColoredCone(((1, 0),), frozenset({Root(0, 1)})),))
-    issues = horo.validate_fan(hs, fan)
+    issues = horo.validate_fan(horo.HoroVariety(hs, fan))
     assert any(s.startswith("UnknownColor: (0,a1)") for s in issues), issues
 
 
@@ -315,7 +316,7 @@ def test_wall_certificate_matches_pairwise(built, broken, colored, rnd):
         other = next(m for m in maximal if len(m & pick) == n - 1)
         cones = [c for c in cones if set(c.generators) not in (pick, other)]
         cones.append(cone(pick | other))
-    fan = ColoredFan(tuple(cones))
+    X = horo.HoroVariety(hs, ColoredFan(tuple(cones)))
 
     # record the pairwise pass if validate_fan falls back to it, so that
     # pass runs once per example
@@ -323,13 +324,13 @@ def test_wall_certificate_matches_pairwise(built, broken, colored, rnd):
     pairwise = horo._pairwise_overlaps
     with mock.patch.object(horo, "_pairwise_overlaps",
                            lambda cs: fallback.append(pairwise(cs)) or fallback[-1]):
-        issues = horo.validate_fan(hs, fan)
+        issues = horo.validate_fan(X)
     certified = not fallback
     pairs = pairwise(cones) if certified else fallback[0]
     assert issues == [s for s in issues if not s.startswith("OverlapViolation")] + pairs
     assert not (certified and pairs)
     if broken == "none":
-        assert certified and issues == [] and horo.is_complete(hs, fan)
+        assert certified and issues == [] and X.complete()
     if broken in ("drop", "duplicate", "no face", "non-simplicial"):
         assert not certified
 
@@ -353,6 +354,8 @@ def test_wall_certificate_needs_sides_and_degree_one():
                                       (0, -1)])
     assert all(len(v) == 2 for v in horo._walls(2, folded_rays).values())
     for cones, cone_rays in ((twice, twice_rays), (folded, folded_rays)):
-        assert not horo._overlap_free(2, cones, cone_rays)
-        issues = horo.validate_fan(hs, ColoredFan(tuple(cones)))
+        X = horo.HoroVariety(hs, ColoredFan(tuple(cones)))
+        assert X.cone_rays() == tuple(cone_rays)
+        assert not horo._overlap_free(X)
+        issues = horo.validate_fan(X)
         assert issues == horo._pairwise_overlaps(cones) and issues

@@ -296,14 +296,48 @@ def test_validate_fan_work_counts(monkeypatch):
     _, X = x1(*README_SPEC)
     _, X2 = x2(*B3_TAIL)
     for Y in (X, X2):
-        assert horo.validate_fan(Y.hs, Y.fan) == []
+        assert horo.validate_fan(Y) == []
     assert calls == []
     line = ColoredFan((ColoredCone((), frozenset()),
                        ColoredCone(((1, 0), (-1, 0)), frozenset()),
                        ColoredCone(((1, 0),), frozenset()),
                        ColoredCone(((-1, 0),), frozenset())))
-    issues = horo.validate_fan(X.hs, line)
+    issues = horo.validate_fan(horo.HoroVariety(X.hs, line))
     assert calls and any(s.startswith("OverlapViolation") for s in issues)
+
+
+def test_variety_predicate_work_counts(monkeypatch):
+    # deterministic work counts: once a variety is built, its predicates and
+    # the nef certificate read its cached cone rays and color images, and
+    # validate_fan and complete() share one wall table
+    from collections import Counter
+    from horokit import horo
+    calls, images = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sigma = horo.sigma
+    monkeypatch.setattr(horo, "extreme_rays", counted("rays", horo.extreme_rays))
+    monkeypatch.setattr(horo, "_walls", counted("walls", horo._walls))
+    monkeypatch.setattr(horo, "sigma",
+                        lambda hs, a: images.update([a]) or sigma(hs, a))
+    for build, spec in ((x1, README_SPEC), (x2, B3_TAIL)):
+        calls.clear()
+        images.clear()
+        _, X = build(*spec)
+        built = calls["rays"]
+        assert X.smooth() and X.picard_rank() == 2
+        last = len(X.divisors) - 1
+        assert dv.verify_nef_generators(X, X.boundary_divisor(0),
+                                        X.boundary_divisor(last))
+        assert calls["rays"] == built, calls
+        assert images and max(images.values()) == 1, images
+        assert horo.validate_fan(X) == [] and X.complete()
+        assert calls["walls"] == 1, calls
 
 
 def test_predict_trace_skeletons():

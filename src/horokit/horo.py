@@ -6,7 +6,9 @@ axioms (`validate_fan`) and the rank-two shape detection.
 Coordinates: the lattice N is presented in the basis dual to the stored
 basis of M, so sigma(alpha) is the vector of coroot pairings against the M
 basis.  Cones are given by integer generator lists; canonical form is the
-sorted tuple of primitive extreme rays.
+sorted tuple of primitive extreme rays.  Every cone question (membership,
+extreme rays, pointedness, faces, overlaps) is answered by one exact kernel,
+`cone_contains`, with no LP.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from functools import wraps
 from itertools import combinations
 from math import gcd
 
-from . import lp, rootdata
+from . import rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
 from .linalg import det_int, echelon, is_zero, primitive, rank, solve
 from .rootdata import GroupProduct, Root, coroot_pairing, flag_dimension
@@ -90,9 +92,10 @@ class ColoredFan:
 
 
 def extreme_rays(generators):
-    """Primitive extreme rays of the cone, sorted.
+    """Primitive extreme rays of the cone, sorted: the distinct primitive
+    generators g with g not in the cone of the others.
 
-    Linearly independent rays are all extreme, with no LP.
+    Linearly independent rays are all extreme, with no membership test.
     """
     prims = []
     for g in generators:
@@ -101,90 +104,76 @@ def extreme_rays(generators):
             prims.append(p)
     if rank(prims) == len(prims):
         return tuple(sorted(prims))
-    keep = []
-    for i, g in enumerate(prims):
-        others = prims[:i] + prims[i + 1:]
-        if not others or not lp.in_cone(others, g):
-            keep.append(g)
-    return tuple(sorted(keep))
+    return tuple(sorted(g for i, g in enumerate(prims)
+                        if not cone_contains(prims[:i] + prims[i + 1:], g)))
 
 
 def cone_contains(generators, v):
-    """Is v a nonnegative combination of the generators?
+    """Is v a nonnegative combination of the generators?  The one cone kernel.
 
-    Independent generators take one elimination of [generators | v], whose
-    pivot rows give the unique coefficients; dependent ones take the LP.
+    Independent generators take one fraction-free elimination of
+    [generators | v], whose pivot rows give the unique coefficients.  By
+    Carathéodory's theorem (Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 7), v lies in the cone of dependent ones iff it
+    lies in the cone of some basis of their span drawn from the distinct
+    primitive generators; each basis takes the same elimination.
     """
     gens = [g for g in generators if not is_zero(g)]
     k = len(gens)
     m, pivots = echelon([[g[i] for g in gens] + [v[i]] for i in range(len(v))])
-    if pivots[:k] != list(range(k)):
-        return lp.in_cone(generators, v)
-    return k not in pivots and all(row[k] * row[j] >= 0 for j, row in enumerate(m[:k]))
+    if k in pivots:
+        return False  # v is outside the span
+    if len(pivots) == k:
+        return all(row[k] * row[j] >= 0 for j, row in enumerate(m[:k]))
+    prims = sorted({primitive(g) for g in gens})
+    return any(cone_contains(sub, v) for sub in combinations(prims, len(pivots)))
 
 
 def is_pointed(generators):
-    """No line: the generators fit in an open half-space.
+    """No line: no -g lies in the cone of the generators g.
 
-    Linearly independent generators always do, with no LP.
+    Linearly independent generators always span a pointed cone.
     """
     gens = [g for g in generators if not is_zero(g)]
     prims = {primitive(g) for g in gens}
     if rank(prims) == len(prims):
         return True
-    return lp.feasible([list(g) for g in gens], [1] * len(gens))
+    return not any(cone_contains(gens, [-x for x in g]) for g in gens)
 
 
-def cone_faces(generators):
-    """Generator index sets of all faces (the cone itself included)."""
+def cone_faces(generators, rays):
+    """(generator index set, extreme rays) of every face, the cone itself
+    included, given the cone's rays (`extreme_rays(generators)`).
+
+    A simplicial cone's faces are its ray subsets.  Otherwise `sub` is the
+    generator set of a face iff it is that of the smallest face through s,
+    the sum of its generators: iff -g_i lies in the cone of the generators
+    and -s exactly when i is in `sub`.
+    """
     gens = list(generators)
     k = len(gens)
-    if k == 0:
-        return [frozenset()]
-    rays = extreme_rays(gens)
-    if len(rays) == rank(gens):  # simplicial: faces are ray subsets
+    if len(rays) == rank(gens):
         idx_of = {r: [i for i, g in enumerate(gens) if primitive(g) == r] for r in rays}
-        faces = []
-        for size in range(len(rays) + 1):
-            for sub in combinations(rays, size):
-                members = frozenset(i for r in sub for i in idx_of[r])
-                faces.append(members)
-        return faces
-    faces = {frozenset(range(k))}
-    n = len(gens[0])
+        return [(frozenset(i for r in sub for i in idx_of[r]), sub)
+                for size in range(len(rays) + 1) for sub in combinations(rays, size)]
+    faces = [frozenset(range(k))]
     for size in range(k):
         for sub in combinations(range(k), size):
-            inside = [gens[i] for i in sub]
-            outside = [gens[i] for i in range(k) if i not in sub]
-            a_ge = [list(g) for g in outside]
-            b_ge = [1] * len(outside)
-            a_eq = [list(g) for g in inside]
-            b_eq = [0] * len(inside)
-            res = lp.solve_lp([0] * n,
-                              a_ub=[[-v for v in r] for r in a_ge],
-                              b_ub=[-b for b in b_ge], a_eq=a_eq, b_eq=b_eq)
-            if res.status == lp.OPTIMAL:
-                faces.add(frozenset(sub))
-    return sorted(faces, key=lambda f: (len(f), sorted(f)))
-
-
-def colored_face(hs, cone, face_gens):
-    sub = tuple(cone.generators[i] for i in sorted(face_gens))
-    cols = frozenset(a for a in cone.colors if cone_contains(sub, sigma(hs, a)))
-    return ColoredCone(sub, cols)
-
-
-def cone_key(hs, cone):
-    return (extreme_rays(cone.generators), frozenset(cone.colors))
+            s = [-sum(gens[i][j] for i in sub) for j in range(len(gens[0]))]
+            if all(cone_contains(gens + [s], [-x for x in gens[i]]) == (i in sub)
+                   for i in range(k)):
+                faces.append(frozenset(sub))
+    return [(f, extreme_rays([gens[i] for i in sorted(f)]))
+            for f in sorted(faces, key=lambda f: (len(f), sorted(f)))]
 
 
 def validate_fan(X):
     """The colored-fan axioms on the fan of X: a list of violation strings.
 
     That the cones of a complete simplicial fan do not overlap is certified
-    by crossing its walls with integer determinants (`_overlap_free`), with
-    no LP.  Only a fan the certificate does not cover is tested pair by pair,
-    with the simplex of `lp` as the fallback for dependent pairs.
+    by crossing its walls with integer determinants (`_overlap_free`); only
+    a fan the certificate does not cover is tested pair by pair.  A face of
+    a simplicial cone is keyed by a sub-tuple of its rays in `X.cone_rays()`.
     """
     hs = X.hs
     issues = []
@@ -213,12 +202,13 @@ def validate_fan(X):
                 issues.append(f"ZeroColorImage: {a} in {cone}")
             elif not cone_contains(cone.generators, sig):
                 issues.append(f"ColorNotInCone: {a} in {cone}")
-    for cone in cones:
+    for cone, rays in zip(cones, cone_rays):
         if cone.colors - hs.R:
             continue  # reported as UnknownColor; its faces have no colors
-        for face in cone_faces(cone.generators):
-            cf = colored_face(hs, cone, face)
-            if cone_key(hs, cf) not in keys:
+        for face, face_rays in cone_faces(cone.generators, rays):
+            sub = [cone.generators[i] for i in face]
+            cols = frozenset(a for a in cone.colors if cone_contains(sub, X.image(a)))
+            if (face_rays, cols) not in keys:
                 issues.append(f"FaceClosureViolation: face {sorted(face)} of {cone}")
     if not _overlap_free(X):
         issues += _pairwise_overlaps(cones)
@@ -309,17 +299,10 @@ def _relints_meet(c1, c2):
         # A point has one expansion in independent rays, so the relative
         # interiors (positive combinations) meet only on equal ray sets.
         return rays1 == rays2
-    n = len(g1[0])
-    nvar = len(g1) + len(g2)
-    a_eq = [[Fraction(g[i]) for g in g1] + [-Fraction(h[i]) for h in g2]
-            for i in range(n)]
-    b_eq = [0] * n
-    a_ub = [[-Fraction(1) if j == v else Fraction(0) for j in range(nvar)]
-            for v in range(nvar)]
-    b_ub = [-1] * nvar
-    res = lp.solve_lp([0] * nvar, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                      nonneg=True)
-    return res.status == lp.OPTIMAL
+    # some lambda, mu >= 1 with g1 lambda = g2 mu; with lambda = 1 + lambda'
+    # and mu = 1 + mu', sum g2 - sum g1 = g1 lambda' - g2 mu'
+    t = [sum(h[i] for h in g2) - sum(g[i] for g in g1) for i in range(len(g1[0]))]
+    return cone_contains(g1 + [[-x for x in h] for h in g2], t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,13 @@
 """
-Exact two-phase simplex over the rationals.
+Exact two-phase simplex over the rationals: the tests' reference.
 
-It is the fallback of the fan geometry in `horo`: cone membership,
-extreme rays and pointedness on linearly dependent generators, faces of
-non-simplicial cones, and the pairwise overlap test of the fans that the
-wall certificate of `horo.validate_fan` does not cover (a complete
-simplicial fan is certified by integer determinants, a simplicial cone is
-answered by `linalg`).  It also serves the emptiness test
-`polyhedra.is_feasible`; every other polytope question reads the vertex
-table of `polyhedra`.  No floating point, Bland's rule throughout (no
-cycling).  Problem sizes are tiny (tens of variables), so a dense tableau is
-the simplest correct choice.
+No program module imports it.  Every cone question of `horo` is answered by
+`horo.cone_contains` (Carathéodory), and emptiness by the vertex table of
+`polyhedra`; the oracle tests compare both against the LP formulations
+here.  The module stays in the package because the benchmark's tracer
+(`perfbench/tracer.py`) names `horokit.lp.solve_lp`.  No floating point,
+Bland's rule throughout (no cycling).  Problem sizes are tiny (tens of
+variables), so a dense tableau is the simplest correct choice.
 """
 
 from fractions import Fraction

@@ -8,10 +8,11 @@ invertible square subsystem solved fraction-free (Bareiss), with its point
 and all row slacks as integer numerators over one positive denominator, so
 that feasibility at any eps is an integer sign test.  Vertices are the
 feasible entries, keyed by their active rows as bitmasks, and faces are the
-intersection closure of those masks.  The strict-feasibility margin and the
-row redundancy test read the same kind of table.  Vertices, dimensions, face
-lattices and redundant rows are asked of polytopes: an unbounded region
-raises UnboundedPolyhedron.  Everything stays in exact arithmetic.
+intersection closure of those masks.  The strict-feasibility margin, the
+row redundancy test and the emptiness test read the same kind of table.
+Vertices, dimensions, face lattices and redundant rows are asked of
+polytopes: an unbounded region raises UnboundedPolyhedron.  Everything stays
+in exact arithmetic.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,8 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from . import lp
 from .errors import EmptyPolytope, UnboundedPolyhedron
-from .linalg import affine_dim, frac, int_rows
+from .linalg import affine_dim, echelon, frac, int_rows, rank
 
 GSTABLE = "x"
 COLOR = "color"
@@ -209,7 +209,16 @@ def basic_points(A, b):
 
 
 def is_feasible(system):
-    return lp.feasible(system.A, system.b)
+    """Is {x : A x >= b} nonempty?  As A x ranges over the column space,
+    keeping only the pivot columns of `echelon(A)` leaves the answer and
+    makes the region pointed: then it is nonempty iff it has a basic
+    feasible point (Schrijver, Theory of Linear and Integer Programming,
+    1986, ch. 8), or, with no pivot column, iff every b <= 0."""
+    cols = echelon(system.A)[1]
+    if not cols:
+        return all(v <= 0 for v in system.b)
+    return bool(feasible_at(vertex_table([[row[c] for c in cols] for row in system.A],
+                                         system.b)))
 
 
 def _is_bounded(system):
@@ -227,7 +236,7 @@ def _vertex_masks(system):
     when the system is.  Raises UnboundedPolyhedron on an unbounded region."""
     found = feasible_at(vertex_table(system.A, system.b))
     if not found:
-        if is_feasible(system):
+        if rank(system.A) < system.dim and is_feasible(system):
             raise UnboundedPolyhedron("no basic points: region is not pointed")
     elif not _is_bounded(system):
         raise UnboundedPolyhedron("feasible set has a nonzero recession cone")

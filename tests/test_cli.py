@@ -138,6 +138,31 @@ def test_subprocess_entry_point(tmp_path):
     assert json.loads(proc.stdout)["picard_rank"] == 2
 
 
+def test_program_paths_do_not_import_lp(tmp_path):
+    # the simplex of horokit.lp is the tests' reference: check and mmp on
+    # the README spec, and check on a fan with a line and on a fan with a
+    # non-simplicial cone, run in a fresh interpreter without importing it
+    r3 = {"group": "A1 x C* x C* x C*", "kind": "fan",
+          "m_basis": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "colors": []}
+    apex = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+    pyramid = r3 | {"cones": [{"generators": g, "colors": []} for g in
+                              [[], apex] + [[r] for r in apex] +
+                              [[apex[k - 1], apex[k]] for k in range(4)]]}
+    line = FAN_A1 | {"cones": [{"generators": g, "colors": []} for g in
+                               [[], [[1, 0], [-1, 0]], [[1, 0]], [[-1, 0]]]]}
+    runs = []
+    for name, doc, cmds in (("w3", W3, ("check", "mmp")), ("line", line, ("check",)),
+                            ("pyramid", pyramid, ("check",))):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(doc))
+        runs += [[cmd, str(f)] for cmd in cmds]
+    code = ("import json, sys\nfrom horokit import cli\n"
+            f"codes = [cli.main(args) for args in {runs!r}]\n"
+            "print(json.dumps([codes, 'horokit.lp' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 1, 1], False], proc.stderr
+
+
 # Fuzzing the exit-code contract on mutated copies of W3 and FAN_A1: each
 # field is dropped, replaced by a value of the wrong JSON type, or re-valued
 # within its type, weights and generators of other lengths included.

@@ -6,10 +6,12 @@ from itertools import combinations, product
 from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
-from horokit import classify as cl, horo, lp
-from horokit.errors import NotAColor, NotComplete, NotLocallyFactorial
+from horokit import classify as cl, horo, lp, polyhedra
+from horokit.errors import (NotAColor, NotComplete, NotLocallyFactorial,
+                            UnboundedPolyhedron)
 from horokit.horo import ColoredCone, ColoredFan, HomSpaceData
-from horokit.linalg import primitive
+from horokit.linalg import primitive, rank
+from horokit.polyhedra import InequalitySystem
 from horokit.rootdata import (GroupFactor, GroupProduct, Root, SL,
                               TORUS_FACTOR, TRIVIAL_FACTOR)
 
@@ -141,11 +143,14 @@ def test_is_smooth_variety():
 
 def test_colored_faces_revalidate():
     X = cl.build_x1(case1_spec_nontrivial())
-    for cone in X.fan.cones:
-        for face in horo.cone_faces(cone.generators):
-            cf = horo.colored_face(X.hs, cone, face)
-            assert horo.cone_key(X.hs, cf) in {horo.cone_key(X.hs, c)
-                                               for c in X.fan.cones}
+    keys = {(rays, c.colors) for c, rays in zip(X.fan.cones, X.cone_rays())}
+    for cone, rays in zip(X.fan.cones, X.cone_rays()):
+        for face, face_rays in horo.cone_faces(cone.generators, rays):
+            sub = [cone.generators[i] for i in face]
+            assert face_rays == horo.extreme_rays(sub)
+            cols = frozenset(a for a in cone.colors
+                             if horo.cone_contains(sub, X.image(a)))
+            assert (face_rays, cols) in keys
 
 
 def test_picard_rank_basis_relabel_invariant():
@@ -192,8 +197,8 @@ def test_validate_fan_reports_unknown_color():
     assert any(s.startswith("UnknownColor: (0,a1)") for s in issues), issues
 
 
-# The fast paths of extreme_rays, cone_contains and _relints_meet (linear
-# algebra on independent generators) against the LP formulations they skip.
+# extreme_rays, cone_contains and _relints_meet, on independent and on
+# dependent generators, against their LP formulations.
 
 def _lp_extreme_rays(generators):
     prims = []
@@ -243,6 +248,69 @@ def test_cone_fast_paths_match_lp(pair):
     c1 = ColoredCone(g1, frozenset({"a"}))
     c2 = ColoredCone(g2, frozenset({"b"}))
     assert horo._relints_meet(c1, c2) == _lp_relints_meet(g1, g2)
+
+
+# is_pointed, the faces of non-simplicial cones and the emptiness test of
+# polyhedra against their LP formulations, on dependent, rescaled and zero
+# generators and on rank-deficient systems.
+
+def _lp_faces(gens):
+    # sub is the generator set of a face iff some y has <g, y> = 0 on sub
+    # and >= 1 off it
+    k, n = len(gens), len(gens[0])
+    faces = [frozenset(range(k))]
+    for size in range(k):
+        for sub in combinations(range(k), size):
+            off = [gens[i] for i in range(k) if i not in sub]
+            res = lp.solve_lp([0] * n, a_ub=[[-x for x in g] for g in off],
+                              b_ub=[-1] * len(off), a_eq=[gens[i] for i in sub],
+                              b_eq=[0] * size)
+            if res.status == lp.OPTIMAL:
+                faces.append(frozenset(sub))
+    return sorted(faces, key=lambda f: (len(f), sorted(f)))
+
+
+@st.composite
+def _dependent_cone(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    gens = draw(st.lists(vec, min_size=1, max_size=n + 2))
+    for _ in range(draw(st.integers(0, 2))):
+        g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        c = draw(st.sampled_from((0, 1, 2)))
+        gens.append(tuple(2 * x + c * y for x, y in zip(g, h)))
+    return gens
+
+
+@st.composite
+def _rank_deficient_system(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=5))
+    c = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    # one more column, a combination of the others (zero included)
+    A = [row + (sum(x * y for x, y in zip(row, c)),) for row in rows]
+    return A, draw(st.lists(st.integers(-3, 3), min_size=len(A), max_size=len(A)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dependent_cone(), _rank_deficient_system())
+def test_cone_kernels_and_emptiness_match_lp(gens, system):
+    nonzero = [g for g in gens if any(g)]
+    assert horo.is_pointed(gens) == \
+        (not nonzero or lp.feasible(nonzero, [1] * len(nonzero)))
+    rays = horo.extreme_rays(gens)
+    if len(rays) != rank(gens):
+        faces = horo.cone_faces(gens, rays)
+        assert [f for f, _ in faces] == _lp_faces(gens)
+        assert all(r == horo.extreme_rays([gens[i] for i in sorted(f)])
+                   for f, r in faces)
+    A, b = system
+    feasible = lp.feasible(A, b)
+    assert polyhedra.is_feasible(InequalitySystem(A, b)) == feasible
+    try:
+        assert polyhedra.vertices(InequalitySystem(A, b)) == [] and not feasible
+    except UnboundedPolyhedron:
+        assert feasible
 
 
 # The wall certificate of validate_fan (`_overlap_free`) against the pairwise

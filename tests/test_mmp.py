@@ -247,9 +247,9 @@ README_SPEC = (GroupProduct((SL(3), TRIVIAL_FACTOR, TORUS_FACTOR, TORUS_FACTOR))
 
 def test_fan_geometry_work_counts(monkeypatch):
     # deterministic work counts, next to the wall-clock bounds of the
-    # acceptance suite: the simplicial fans of the engine take no LP, and
-    # a variety derives its fan skeleton once, not per divisor
-    from horokit import horo, lp
+    # acceptance suite: a variety derives its fan skeleton once, not per
+    # divisor
+    from horokit import horo
     counts = {}
 
     def counted(name, fn):
@@ -258,11 +258,10 @@ def test_fan_geometry_work_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(lp, "solve_lp", counted("lp", lp.solve_lp))
     monkeypatch.setattr(horo, "extreme_rays", counted("rays", horo.extreme_rays))
 
     def work():
-        counts.update(lp=0, rays=0)
+        counts.update(rays=0)
         _, X = x1(*README_SPEC)
         canonical_run(X)
         run = dict(counts)
@@ -272,7 +271,6 @@ def test_fan_geometry_work_counts(monkeypatch):
         return run, counts["rays"] - rays_before
 
     first = work()
-    assert first[0]["lp"] == 0, first
     assert first[0]["rays"] > 0 and first[1] == 0, first
     assert work() == first
 
@@ -285,25 +283,27 @@ B3_TAIL = (GroupProduct((TRIVIAL_FACTOR, TORUS_FACTOR, TORUS_FACTOR, TORUS_FACTO
 
 def test_validate_fan_work_counts(monkeypatch):
     # deterministic work counts: the wall certificate answers the overlaps
-    # of the engine's complete simplicial fans with no LP, and a fan it does
-    # not cover (a cone with a line) still reaches the simplex
-    from horokit import horo, lp
+    # of the engine's complete simplicial fans with no pairwise pass, and a
+    # fan it does not cover (a cone with a line) still takes that pass
+    from horokit import horo
     from horokit.horo import ColoredCone, ColoredFan
     calls = []
-    solve_lp = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp",
-                        lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    pairwise = horo._pairwise_overlaps
+    monkeypatch.setattr(horo, "_pairwise_overlaps",
+                        lambda cones: calls.append(1) or pairwise(cones))
     _, X = x1(*README_SPEC)
     _, X2 = x2(*B3_TAIL)
     for Y in (X, X2):
-        assert horo.validate_fan(Y) == []
+        assert horo._overlap_free(Y) and horo.validate_fan(Y) == []
     assert calls == []
     line = ColoredFan((ColoredCone((), frozenset()),
                        ColoredCone(((1, 0), (-1, 0)), frozenset()),
                        ColoredCone(((1, 0),), frozenset()),
                        ColoredCone(((-1, 0),), frozenset())))
-    issues = horo.validate_fan(horo.HoroVariety(X.hs, line))
-    assert calls and any(s.startswith("OverlapViolation") for s in issues)
+    Y = horo.HoroVariety(X.hs, line)
+    assert not horo._overlap_free(Y)
+    issues = horo.validate_fan(Y)
+    assert calls == [1] and any(s.startswith("OverlapViolation") for s in issues)
 
 
 def test_variety_predicate_work_counts(monkeypatch):

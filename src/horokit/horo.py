@@ -211,7 +211,7 @@ def validate_fan(X):
             if (face_rays, cols) not in keys:
                 issues.append(f"FaceClosureViolation: face {sorted(face)} of {cone}")
     if not _overlap_free(X):
-        issues += _pairwise_overlaps(cones)
+        issues += _pairwise_overlaps(X)
     return issues
 
 
@@ -273,20 +273,22 @@ def _overlap_free(X):
     return sum(cone_contains(cone_rays[k], p) for k in full) == 1
 
 
-def _pairwise_overlaps(cones):
-    """OverlapViolation for each pair of cones whose relative interiors
-    meet, tested pair by pair."""
+def _pairwise_overlaps(X):
+    """OverlapViolation for each pair of cones of the fan of X whose
+    relative interiors meet, tested pair by pair on the rays in
+    `X.cone_rays()`."""
+    pairs = combinations(zip(X.fan.cones, X.cone_rays()), 2)
     return [f"OverlapViolation: {c1} and {c2}"
-            for c1, c2 in combinations(cones, 2) if _relints_meet(c1, c2)]
+            for (c1, rays1), (c2, rays2) in pairs if _relints_meet(c1, rays1, c2, rays2)]
 
 
-def _relints_meet(c1, c2):
-    """Do the relative interiors of two distinct cones share a point?
+def _relints_meet(c1, rays1, c2, rays2):
+    """Do the relative interiors of two distinct cones, with extreme rays
+    rays1 and rays2, share a point?
 
     Identical colored cones are handled by the duplicate check, so equality
     of canonical keys short-circuits to False here.
     """
-    rays1, rays2 = extreme_rays(c1.generators), extreme_rays(c2.generators)
     if rays1 == rays2 and frozenset(c1.colors) == frozenset(c2.colors):
         return False
     g1 = [g for g in c1.generators if not is_zero(g)]

@@ -10,6 +10,15 @@ that feasibility at any eps is an integer sign test.  Vertices are the
 feasible entries, keyed by their active rows as bitmasks, and faces are the
 intersection closure of those masks.  The strict-feasibility margin, the
 row redundancy test and the emptiness test read the same kind of table.
+
+Every static polytope question reads the one table of its system
+(Schrijver, Theory of Linear and Integer Programming, 1986, ch. 8):
+- boundedness from the edges at its feasible bases: a nonempty pointed
+  region is unbounded iff it has an unbounded edge v + t d, and d is then a
+  positive multiple of a column of B^-1 for a feasible basis B at v (the
+  edge's n - 1 tight rows plus one more row tight at v);
+- the dimension of a face from its signature S alone: the face's affine
+  hull is {A_S x = b_S}, so its dimension is n - rank(A_S).
 Vertices, dimensions, face lattices and redundant rows are asked of
 polytopes: an unbounded region raises UnboundedPolyhedron.  Everything stays
 in exact arithmetic.
@@ -17,12 +26,13 @@ in exact arithmetic.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 from typing import NamedTuple
 
 from .errors import EmptyPolytope, UnboundedPolyhedron
-from .linalg import affine_dim, echelon, frac, int_rows, rank
+from .linalg import echelon, frac, int_rows, rank
 
 GSTABLE = "x"
 COLOR = "color"
@@ -221,38 +231,69 @@ def is_feasible(system):
                                          system.b)))
 
 
-def _is_bounded(system):
-    """Bounded iff the recession cone {A d >= 0} is {0}, that is iff the
-    origin is the only basic point of {A d >= 0, (sum of the rows) d <= 1}.
-    Without any basic point A has rank below n: the region holds a line."""
-    A = system.A
-    total = tuple([-sum(col) for col in zip(*A)])
-    found = feasible_at(vertex_table(A + (total,), (0,) * len(A) + (-1,)))
-    return len(found) == 1
+def _is_bounded(A, table):
+    """Is the nonempty pointed region {A x >= b} with vertex table `table`
+    bounded?
+
+    It is unbounded iff it has an unbounded edge v + t d.  At v some
+    feasible basis B holds n - 1 independent rows tight on the edge and one
+    more row j tight at v, and d is a positive multiple of column j of B^-1
+    (Schrijver 1986, ch. 8).  So the region is bounded iff no column d of
+    B^-1, over the feasible entries B, has A d >= 0; one fraction-free
+    elimination of [A_B | I] gives the columns times det A_B.  Every
+    feasible entry is read, not one per vertex as `feasible_at` keeps: at a
+    degenerate vertex that one can miss the edge.
+    """
+    n = len(A[0])
+    rows = int_rows(A, [0] * len(A))[0]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    for e in table:
+        if min(e.U) < 0:
+            continue
+        mat = [list(rows[r]) + u for r, u in zip(rows_of(e.basis), unit)]
+        sign = 1 if _gauss_jordan(mat, n) > 0 else -1
+        for j in range(n, 2 * n):
+            d = [sign * row[j] for row in mat]
+            if all(sum(map(mul, row, d)) >= 0 for row in rows):
+                return False
+    return True
 
 
 def _vertex_masks(system):
-    """The vertices of a polytope as {active row mask: table entry}, empty
-    when the system is.  Raises UnboundedPolyhedron on an unbounded region."""
-    found = feasible_at(vertex_table(system.A, system.b))
+    """The vertex table of a polytope and its vertices as {active row mask:
+    table entry}, empty when the system is.  Raises UnboundedPolyhedron on
+    an unbounded region."""
+    table = vertex_table(system.A, system.b)
+    found = feasible_at(table)
     if not found:
         if rank(system.A) < system.dim and is_feasible(system):
             raise UnboundedPolyhedron("no basic points: region is not pointed")
-    elif not _is_bounded(system):
+    elif not _is_bounded(system.A, table):
         raise UnboundedPolyhedron("feasible set has a nonzero recession cone")
-    return found
+    return table, found
+
+
+def _face_dim(A, sig):
+    """Dimension of the nonempty face with signature sig (a mask) of a
+    polytope in {A x >= b}: n - rank(A_S), as {A_S x = b_S} is its affine
+    hull."""
+    return len(A[0]) - rank([A[r] for r in rows_of(sig)])
 
 
 def vertices(system):
     """All extreme points of a polytope, exact and lexicographically sorted
     ([] when empty).  Raises UnboundedPolyhedron on an unbounded region."""
-    return sorted(e.point() for e in _vertex_masks(system).values())
+    return sorted(e.point() for e in _vertex_masks(system)[1].values())
 
 
 def polytope_dim(system):
-    """Affine dimension of a polytope, -1 when it is empty.  Raises
+    """Affine dimension of a polytope, -1 when it is empty: the dimension of
+    the face whose signature is the meet of the vertex masks.  Raises
     UnboundedPolyhedron on an unbounded region."""
-    return affine_dim(vertices(system))
+    found = _vertex_masks(system)[1]
+    if not found:
+        return -1
+    return _face_dim(system.A, reduce(and_, found))
 
 
 def margin_table(A, B, C=None, strict=None):
@@ -341,15 +382,16 @@ def face_of(masks, rows):
 
 def face_lattice(system):
     """Every nonempty face of a polytope as a FaceSignature, the polytope
-    itself included."""
-    found = _vertex_masks(system)
+    itself included.
+
+    A face's dimension is read off its signature S: n - rank(A_S), the
+    dimension of its affine hull {A_S x = b_S} (Schrijver 1986, ch. 8).
+    """
+    found = _vertex_masks(system)[1]
     if not found:
         raise EmptyPolytope("feasible set is empty")
-    pts = {mask: e.point() for mask, e in found.items()}
-    faces = []
-    for sig in closure_masks(pts):
-        members = [pt for mask, pt in pts.items() if mask & sig == sig]
-        faces.append(FaceSignature(rows_of(sig), affine_dim(members)))
+    faces = [FaceSignature(rows_of(sig), _face_dim(system.A, sig))
+             for sig in closure_masks(found)]
     return sorted(faces, key=lambda f: (-f.dim, sorted(f.active_rows)))
 
 
@@ -357,12 +399,12 @@ def redundant_rows(system):
     """Rows whose removal leaves the feasible set of a polytope unchanged.
     Raises EmptyPolytope when it is empty, UnboundedPolyhedron when it is
     unbounded."""
-    if not _vertex_masks(system):
+    table, found = _vertex_masks(system)
+    if not found:
         raise EmptyPolytope("feasible set is empty")
     m = len(system.A)
     if m == 1:
         return set()
-    table = vertex_table(system.A, system.b)
     full = (1 << m) - 1
     return {r for r in range(m) if row_is_redundant(system.A, table, r, full)}
 

@@ -103,9 +103,13 @@ def face_orbit(hs, v0, points):
 
 def orbit_of_face(q, active_rows):
     """Orbit data of the face on which the given rows are tight."""
-    rows = frozenset(active_rows)
-    members = [pt for pt, act in basic_points(q.qtilde.A, q.qtilde.b)
-               if act >= rows]
+    return _orbit_among(q, frozenset(active_rows),
+                        basic_points(q.qtilde.A, q.qtilde.b))
+
+
+def _orbit_among(q, rows, points):
+    """orbit_of_face, read off the (point, active set) pairs of Q~."""
+    members = [pt for pt, act in points if act >= rows]
     if not members:
         raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
     return face_orbit(q.hs, q.v0, members)
@@ -113,11 +117,11 @@ def orbit_of_face(q, active_rows):
 
 def orbit_poset(q):
     """[(FaceSignature, OrbitInfo)] over all nonempty faces, closure order
-    given by reverse inclusion of the active sets."""
-    out = []
-    for f in face_lattice(q.qtilde):
-        out.append((f, orbit_of_face(q, f.active_rows)))
-    return out
+    given by reverse inclusion of the active sets.  The basic points of Q~
+    are found once, not once per face."""
+    faces = face_lattice(q.qtilde)
+    points = basic_points(q.qtilde.A, q.qtilde.b)
+    return [(f, _orbit_among(q, f.active_rows, points)) for f in faces]
 
 
 COLLAPSED = "Collapsed"

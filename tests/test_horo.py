@@ -247,7 +247,8 @@ def test_cone_fast_paths_match_lp(pair):
             lp.in_cone(gens, v)
     c1 = ColoredCone(g1, frozenset({"a"}))
     c2 = ColoredCone(g2, frozenset({"b"}))
-    assert horo._relints_meet(c1, c2) == _lp_relints_meet(g1, g2)
+    assert horo._relints_meet(c1, horo.extreme_rays(g1), c2, horo.extreme_rays(g2)) == \
+        _lp_relints_meet(g1, g2)
 
 
 # is_pointed, the faces of non-simplicial cones and the emptiness test of
@@ -391,10 +392,10 @@ def test_wall_certificate_matches_pairwise(built, broken, colored, rnd):
     fallback = []
     pairwise = horo._pairwise_overlaps
     with mock.patch.object(horo, "_pairwise_overlaps",
-                           lambda cs: fallback.append(pairwise(cs)) or fallback[-1]):
+                           lambda Y: fallback.append(pairwise(Y)) or fallback[-1]):
         issues = horo.validate_fan(X)
     certified = not fallback
-    pairs = pairwise(cones) if certified else fallback[0]
+    pairs = pairwise(X) if certified else fallback[0]
     assert issues == [s for s in issues if not s.startswith("OverlapViolation")] + pairs
     assert not (certified and pairs)
     if broken == "none":
@@ -426,4 +427,4 @@ def test_wall_certificate_needs_sides_and_degree_one():
         assert X.cone_rays() == tuple(cone_rays)
         assert not horo._overlap_free(X)
         issues = horo.validate_fan(X)
-        assert issues == horo._pairwise_overlaps(cones) and issues
+        assert issues == horo._pairwise_overlaps(X) and issues

@@ -290,7 +290,7 @@ def test_validate_fan_work_counts(monkeypatch):
     calls = []
     pairwise = horo._pairwise_overlaps
     monkeypatch.setattr(horo, "_pairwise_overlaps",
-                        lambda cones: calls.append(1) or pairwise(cones))
+                        lambda Y: calls.append(1) or pairwise(Y))
     _, X = x1(*README_SPEC)
     _, X2 = x2(*B3_TAIL)
     for Y in (X, X2):
@@ -304,6 +304,42 @@ def test_validate_fan_work_counts(monkeypatch):
     assert not horo._overlap_free(Y)
     issues = horo.validate_fan(Y)
     assert calls == [1] and any(s.startswith("OverlapViolation") for s in issues)
+
+
+def test_pairwise_overlaps_read_the_variety_rays(monkeypatch):
+    # deterministic work counts: the pairwise pass reads the rays of
+    # X.cone_rays() and derives none.  The complete fan over the faces of the
+    # cube has square cones, so the wall certificate does not cover it.
+    from itertools import product
+    from horokit import horo
+    from horokit.horo import ColoredCone, ColoredFan, HomSpaceData
+    hs = HomSpaceData(GroupProduct((SL(2), TORUS_FACTOR, TORUS_FACTOR)),
+                      frozenset({Root(0, 1)}), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    corners = list(product((1, -1), repeat=3))
+    cones = [ColoredCone(())] + [ColoredCone((v,)) for v in corners] + \
+        [ColoredCone(tuple(v for v in corners if v[i] == s))
+         for i in range(3) for s in (1, -1)] + \
+        [ColoredCone((u, v)) for u, v in product(corners, repeat=2)
+         if u < v and sum(x != y for x, y in zip(u, v)) == 1]
+    assert len(cones) == 27
+    calls = []
+    rays = horo.extreme_rays
+    monkeypatch.setattr(horo, "extreme_rays", lambda g: calls.append(1) or rays(g))
+    X = horo.HoroVariety(hs, ColoredFan(tuple(cones)))
+    # one call per cone for X.cone_rays(), one per face of each of the six
+    # square cones (1 + 4 + 4 + 1 faces) for cone_faces; 789 when each pair
+    # derived its rays again
+    assert horo.validate_fan(X) == [] and not horo._overlap_free(X)
+    assert len(calls) == 27 + 6 * 10
+    del calls[:]
+    assert horo._pairwise_overlaps(X) == [] and calls == []
+    # a diagonal of the top square overlaps that square and nothing else
+    diagonal = ColoredCone(((1, 1, 1), (-1, -1, 1)))
+    Y = horo.HoroVariety(hs, ColoredFan(tuple(cones) + (diagonal,)))
+    assert [s for s in horo.validate_fan(Y) if s.startswith("OverlapViolation")] == [
+        "OverlapViolation: ColoredCone(generators=((1, 1, 1), (1, -1, 1), (-1, 1, 1), "
+        "(-1, -1, 1)), colors=frozenset()) and ColoredCone(generators=((1, 1, 1), "
+        "(-1, -1, 1)), colors=frozenset())"]
 
 
 def test_variety_predicate_work_counts(monkeypatch):

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from horokit import polyhedra as ph
+from horokit import linalg, lp, polyhedra as ph
 from horokit.errors import EmptyPolytope, UnboundedPolyhedron
-from horokit.linalg import det_int, int_rows
+from horokit.linalg import affine_dim, det_int, int_rows
 
 SIMPLEX2 = ph.InequalitySystem(((1, 0), (0, 1), (-1, -1)), (0, 0, -1))
 
@@ -58,6 +59,43 @@ def test_boundedness_read_off_the_vertex_table():
     seg = ph.InequalitySystem(((0, 1), (0, -1), (1, 0), (-1, 0)), (0, 0, 0, -1))
     assert ph.vertices(seg) == [(F(0), F(0)), (F(1), F(0))]
     assert sorted(f.dim for f in ph.face_lattice(seg)) == [0, 0, 1]
+
+
+# A square pyramid: four facets through the apex (0, 0, 1), a degenerate
+# vertex with four feasible bases.
+PYRAMID = ph.InequalitySystem(((0, 0, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)),
+                              (0, -1, -1, -1, -1))
+
+
+def test_polytope_questions_read_one_vertex_table(monkeypatch):
+    # deterministic work counts: boundedness reads the edges of the feasible
+    # bases and face dimensions the rank of the tight rows, so no question
+    # builds a second table and face_lattice makes no affine_dim call
+    calls = {"table": 0, "affine_dim": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ph, "vertex_table", counted("table", ph.vertex_table))
+    dim = counted("affine_dim", linalg.affine_dim)
+    monkeypatch.setattr(linalg, "affine_dim", dim)
+    monkeypatch.setattr(ph, "affine_dim", dim, raising=False)
+    quad = ph.InequalitySystem(((1, 0), (0, 1), (-1, -1), (1, 2)), (0, 0, -1, F(1, 2)))
+    for S in (SIMPLEX2, quad, PYRAMID, ph.InequalitySystem(((1,), (-1,)), (0, 0))):
+        for question in (ph.face_lattice, ph.vertices, ph.polytope_dim):
+            calls.update(table=0, affine_dim=0)
+            question(S)
+            assert calls == {"table": 1, "affine_dim": 0}, (question, S)
+        # the system's table, then one escape table per row
+        calls.update(table=0)
+        ph.redundant_rows(S)
+        assert calls["table"] == len(S.A) + 1, S
+    assert ph.polytope_dim(PYRAMID) == 3 and len(ph.vertices(PYRAMID)) == 5
+    assert sorted(f.dim for f in ph.face_lattice(PYRAMID)) == \
+        [0] * 5 + [1] * 8 + [2] * 5 + [3]
 
 
 def test_face_lattice_examples():
@@ -182,3 +220,56 @@ def test_face_lattice_against_subset_oracle_small():
             assert not oracle
             continue
         assert lattice == oracle
+
+
+# Boundedness and face dimensions against their definitions: the LP oracle
+# on the coordinate functions, and the affine hull of a face's vertices.
+
+@st.composite
+def _system(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    box = draw(st.booleans())
+    rows = draw(st.lists(vec, min_size=0 if box else 1, max_size=10 - 2 * n * box))
+    if n > 1 and draw(st.booleans()):
+        # rank deficient: the last column a combination of the others
+        c = draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+        rows = [r[:-1] + (sum(x * y for x, y in zip(r, c)),) for r in rows]
+    if box:
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        sides = units + [tuple(-x for x in e) for e in units]
+        if draw(st.booleans()):
+            # an open box: one side left out
+            del sides[draw(st.integers(0, 2 * n - 1))]
+        rows += sides
+    if draw(st.booleans()):
+        # degenerate: most rows through one point p, which is feasible
+        p = draw(vec)
+        b = [sum(x * y for x, y in zip(r, p)) - draw(st.sampled_from((0, 0, 0, 1, 2)))
+             for r in rows]
+    else:
+        b = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    return ph.InequalitySystem(tuple(rows), tuple(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_system())
+def test_boundedness_and_face_dimensions_match_definitions(S):
+    n = S.dim
+    feasible = lp.feasible(S.A, S.b)
+    a_ub, b_ub = [[-v for v in r] for r in S.A], [-v for v in S.b]
+    unbounded = feasible and any(
+        lp.solve_lp([s * int(i == j) for j in range(n)], a_ub, b_ub).status == lp.UNBOUNDED
+        for i in range(n) for s in (1, -1))
+    try:
+        verts = ph.vertices(S)
+    except UnboundedPolyhedron:
+        assert unbounded
+        return
+    assert not unbounded and bool(verts) == feasible
+    assert ph.polytope_dim(S) == affine_dim(verts)
+    if not verts:
+        return
+    points = ph.basic_points(S.A, S.b)
+    for f in ph.face_lattice(S):
+        assert f.dim == affine_dim([pt for pt, act in points if act >= f.active_rows])

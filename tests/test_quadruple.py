@@ -130,6 +130,25 @@ def test_orbit_counts_polytopes():
         qd.orbit_of_face(q0, {0, 1, 2, 3})
 
 
+def test_orbit_poset_work_counts(monkeypatch):
+    # deterministic work counts: orbit_poset builds one vertex table for the
+    # face lattice and one for the basic points, not one more per face, and
+    # agrees with orbit_of_face face by face
+    from horokit import polyhedra as ph
+    G = GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2)))
+    X = cl.build_x1(cl.X1Spec(G, Root(0, 3), (Root(1, 0), Root(2, 0), Root(3, 1)),
+                              (0, 1, 2)))
+    q = AdmissibleQuadruple(X.hs, *dv.moment_polytopes(
+        X, X.boundary_divisor(0) + X.boundary_divisor(3)))
+    tables = []
+    table = ph.vertex_table
+    monkeypatch.setattr(ph, "vertex_table",
+                        lambda *args: tables.append(1) or table(*args))
+    poset = qd.orbit_poset(q)
+    assert len(poset) == 7 and len(tables) == 2
+    assert poset == [(f, qd.orbit_of_face(q, f.active_rows)) for f, _ in poset]
+
+
 def test_round_trip_ample_pair_is_admissible():
     specs = []
     G = GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2)))

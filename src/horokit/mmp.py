@@ -21,7 +21,7 @@ from itertools import combinations
 from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
                      NotRestrictedForm, PreconditionViolated)
-from .linalg import frac
+from .linalg import affine_dim, frac
 from .polyhedra import (InequalitySystem, closure_masks, face_of, feasible_at,
                         margin_at, margin_table, mask_of, row_is_redundant,
                         rows_of, vertex_table)
@@ -278,10 +278,10 @@ def general_fiber(fam, eps_below, eps_max):
         best = min(pre, key=lambda s: (len(s), sorted(s)))
         if any(not (s >= best) for s in pre):
             raise NoMaximalPreimage("no unique biggest source orbit")
-        src = face_orbit(hs, fam.v_at(eps_below),
-                         [pt for pt, act in src_pts if act >= best])
-        tgt = face_orbit(hs, fam.v_at(eps_max),
-                         [pt for pt, act in tgt_pts if act >= tgt_sig])
+        src_face = [pt for pt, act in src_pts if act >= best]
+        tgt_face = [pt for pt, act in tgt_pts if act >= tgt_sig]
+        src = face_orbit(hs, fam.v_at(eps_below), src_face, affine_dim(src_face))
+        tgt = face_orbit(hs, fam.v_at(eps_max), tgt_face, affine_dim(tgt_face))
         num = den = None
         if src.rank == tgt.rank:
             num, den = tgt.r_set, src.r_set

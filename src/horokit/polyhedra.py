@@ -6,19 +6,25 @@ with equality on the whole face.  One vertex table serves both the static
 systems here and the parametric family {A x >= B + eps C} of `mmp`: every
 invertible square subsystem solved fraction-free (Bareiss), with its point
 and all row slacks as integer numerators over one positive denominator, so
-that feasibility at any eps is an integer sign test.  Vertices are the
-feasible entries, keyed by their active rows as bitmasks, and faces are the
-intersection closure of those masks.  The strict-feasibility margin, the
-row redundancy test and the emptiness test read the same kind of table.
+that feasibility at any eps is an integer sign test, and with the sign of
+its determinant.  The table is built in one depth-first pass over the row
+subsets, which shares the elimination of a common prefix and skips every
+subset through a dependent one.  Vertices are the feasible entries, keyed
+by their active rows as bitmasks, and faces are the intersection closure of
+those masks.  The strict-feasibility margin, the row redundancy test and
+the emptiness test read the same kind of table.
 
-Every static polytope question reads the one table of its system
-(Schrijver, Theory of Linear and Integer Programming, 1986, ch. 8):
+Every static polytope question reads the one table of its system and
+eliminates nothing more (Schrijver, Theory of Linear and Integer
+Programming, 1986, ch. 8):
 - boundedness from the edges at its feasible bases: a nonempty pointed
   region is unbounded iff it has an unbounded edge v + t d, and d is then a
   positive multiple of a column of B^-1 for a feasible basis B at v (the
-  edge's n - 1 tight rows plus one more row tight at v);
-- the dimension of a face from its signature S alone: the face's affine
-  hull is {A_S x = b_S}, so its dimension is n - rank(A_S).
+  edge's n - 1 tight rows plus one more row tight at v); by Cramer's rule
+  the row products A_r d are ratios of signed determinants in the table;
+- the dimension of a face from the lattice's grading (Ziegler, Lectures on
+  Polytopes, 1995, Thm 2.7): one more than the largest dimension of a face
+  strictly inside it, 0 for a vertex.
 Vertices, dimensions, face lattices and redundant rows are asked of
 polytopes: an unbounded region raises UnboundedPolyhedron.  Everything stays
 in exact arithmetic.
@@ -27,7 +33,6 @@ in exact arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from operator import and_, mul
 from typing import NamedTuple
 
@@ -101,11 +106,12 @@ class BasicSolution(NamedTuple):
     """
 
     basis: int      # mask of the rows of the subsystem
-    den: int
+    den: int        # |det A_B| on the rows scaled to integers
     P: tuple
     Q: tuple
     U: tuple
     V: tuple
+    sign: int       # the sign of det A_B, rows in increasing order
 
     def point(self, eps=0):
         eps = frac(eps)
@@ -114,58 +120,70 @@ class BasicSolution(NamedTuple):
                       for x, y in zip(self.P, self.Q)])
 
 
-def _gauss_jordan(mat, n):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) on the leading n
-    columns of the n integer rows of mat, in place.
-
-    Returns the last pivot, which is +-det of the leading block, or 0 when
-    that block is singular.  Afterwards the block is pivot * I and every
-    further column holds pivot times the solution against it.  Each entry
-    stays a minor of the input, so every division is exact.
-    """
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if mat[i][k]), None)
-        if piv is None:
-            return 0
-        mat[k], mat[piv] = mat[piv], mat[k]
-        top = mat[k]
-        d = top[k]
-        for i in range(n):
-            if i != k:
-                f = mat[i][k]
-                mat[i] = [(d * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = d
-    return prev
-
-
 def vertex_table(A, B, C=None):
     """One BasicSolution per invertible square subsystem of
     {x : A x >= B + eps C}, in the order of itertools.combinations.
 
     Each row [A_r | B_r] is scaled to integers together with C_r; C defaults
     to zero, a static system.
+
+    The row subsets are visited depth-first, so subsets that share a prefix
+    share its elimination.  The chosen rows are kept in fraction-free
+    reduced form (Bareiss): each pivot row holds the last pivot d on its own
+    pivot column and 0 on the other pivot columns.  A new row x enters as
+    y = d x - sum x[c_i] R_i, whose entries are minors of the chosen rows.
+    If y vanishes on every free column of A, the prefix is dependent, and it
+    is skipped with every subset through it.  Otherwise a free column c with
+    e = y[c] != 0 becomes a pivot and R_i <- (e R_i - R_i[c] y) / d, a
+    division that is exact (Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 3).  After n rows the last pivot is det A_B with
+    its columns in pivot order, so `sign`, the sign of det A_B, is its sign
+    times the parity of that order.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     rows, cs = int_rows([tuple(a) + (b,) for a, b in zip(A, B)],
                         [0] * m if C is None else C)
+    full = [row + (c,) for row, c in zip(rows, cs)]
+    zero_v = None if any(cs) else (0,) * m    # a static system's V
     out = []
-    for sub in combinations(range(m), n):
-        mat = [list(rows[i]) + [cs[i]] for i in sub]
-        det = _gauss_jordan(mat, n)
-        if not det:
-            continue
-        sign = 1 if det > 0 else -1
-        den = sign * det
+
+    def emit(mask, R, cols, e, odd):
+        s = 1 if e > 0 else -1
+        den = s * e
+        P, Q = [0] * n, [0] * n
+        for row, c in zip(R, cols):
+            P[c], Q[c] = s * row[n], s * row[n + 1]
+        P, Q = tuple(P), tuple(Q)
+        Pb = P + (-den,)
         # lists, not generator expressions, inside tuple(): on CPython 3.11
         # the generators raised the peak RSS of a face-lattice sweep by ~1 MB
-        P = tuple([sign * row[n] for row in mat])
-        Q = tuple([sign * row[n + 1] for row in mat])
-        Pb = P + (-den,)
         U = tuple([sum(map(mul, row, Pb)) for row in rows])
-        V = tuple([sum(map(mul, row, Q)) - den * c for row, c in zip(rows, cs)])
-        out.append(BasicSolution(mask_of(sub), den, P, Q, U, V))
+        V = zero_v or tuple([sum(map(mul, row, Q)) - den * c
+                             for row, c in zip(rows, cs)])
+        out.append(BasicSolution(mask, den, P, Q, U, V, -s if odd else s))
+
+    def extend(start, mask, R, cols, d, odd):
+        if len(cols) == n:
+            emit(mask, R, cols, d, odd)
+            return
+        free = [c for c in range(n) if c not in cols]
+        for i in range(start, m - len(free) + 1):
+            x = full[i]
+            y = [d * v for v in x]
+            for row, c in zip(R, cols):
+                f = x[c]
+                if f:
+                    y = [a - f * b for a, b in zip(y, row)]
+            c = next((c for c in free if y[c]), None)
+            if c is None:
+                continue    # so is every subset through this prefix
+            e = y[c]
+            R2 = [[(e * a - row[c] * b) // d for a, b in zip(row, y)] for row in R]
+            extend(i + 1, mask | 1 << i, R2 + [y], cols + [c], e,
+                   odd ^ sum(c < ci for ci in cols) & 1)
+
+    extend(0, 0, [], [], 1, 0)
     return out
 
 
@@ -231,35 +249,42 @@ def is_feasible(system):
                                          system.b)))
 
 
-def _is_bounded(A, table):
+def _is_bounded(table):
     """Is the nonempty pointed region {A x >= b} with vertex table `table`
     bounded?
 
     It is unbounded iff it has an unbounded edge v + t d.  At v some
     feasible basis B holds n - 1 independent rows tight on the edge and one
-    more row j tight at v, and d is a positive multiple of column j of B^-1
-    (Schrijver 1986, ch. 8).  So the region is bounded iff no column d of
-    B^-1, over the feasible entries B, has A d >= 0; one fraction-free
-    elimination of [A_B | I] gives the columns times det A_B.  Every
-    feasible entry is read, not one per vertex as `feasible_at` keeps: at a
-    degenerate vertex that one can miss the edge.
+    more row j tight at v, and d is a positive multiple of the column d_j of
+    A_B^-1 that belongs to row j (Schrijver 1986, ch. 8).  So the region is
+    bounded iff no such d_j, over the feasible entries B, has A d_j >= 0.
+    The table already holds those products by Cramer's rule: for a row r
+    outside B, A_r d_j = det(A_B with row j replaced by A_r) / det A_B, and
+    that numerator is the signed determinant of the entry for B - j + r
+    times (-1)^(p - q), p the position of j in B and q that of r in
+    B - j + r; an absent entry is a singular subsystem, of determinant 0.
+    Every feasible entry is read, not one per vertex as `feasible_at` keeps:
+    at a degenerate vertex that one can miss the edge.
     """
-    n = len(A[0])
-    rows = int_rows(A, [0] * len(A))[0]
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    det = {e.basis: e.sign * e.den for e in table}
+    m = len(table[0].U)
     for e in table:
         if min(e.U) < 0:
             continue
-        mat = [list(rows[r]) + u for r, u in zip(rows_of(e.basis), unit)]
-        sign = 1 if _gauss_jordan(mat, n) > 0 else -1
-        for j in range(n, 2 * n):
-            d = [sign * row[j] for row in mat]
-            if all(sum(map(mul, row, d)) >= 0 for row in rows):
-                return False
+        B = e.basis
+        outside = [r for r in range(m) if not B >> r & 1]
+        for p, j in enumerate(sorted(rows_of(B))):
+            rest = B & ~(1 << j)
+            for r in outside:
+                q = (rest & ((1 << r) - 1)).bit_count()
+                if det.get(rest | 1 << r, 0) * e.sign * (-1) ** (p + q) < 0:
+                    break
+            else:
+                return False    # A d_j >= 0: an unbounded edge
     return True
 
 
-def _vertex_masks(system):
+def vertex_masks(system):
     """The vertex table of a polytope and its vertices as {active row mask:
     table entry}, empty when the system is.  Raises UnboundedPolyhedron on
     an unbounded region."""
@@ -268,32 +293,26 @@ def _vertex_masks(system):
     if not found:
         if rank(system.A) < system.dim and is_feasible(system):
             raise UnboundedPolyhedron("no basic points: region is not pointed")
-    elif not _is_bounded(system.A, table):
+    elif not _is_bounded(table):
         raise UnboundedPolyhedron("feasible set has a nonzero recession cone")
     return table, found
-
-
-def _face_dim(A, sig):
-    """Dimension of the nonempty face with signature sig (a mask) of a
-    polytope in {A x >= b}: n - rank(A_S), as {A_S x = b_S} is its affine
-    hull."""
-    return len(A[0]) - rank([A[r] for r in rows_of(sig)])
 
 
 def vertices(system):
     """All extreme points of a polytope, exact and lexicographically sorted
     ([] when empty).  Raises UnboundedPolyhedron on an unbounded region."""
-    return sorted(e.point() for e in _vertex_masks(system)[1].values())
+    return sorted(e.point() for e in vertex_masks(system)[1].values())
 
 
 def polytope_dim(system):
-    """Affine dimension of a polytope, -1 when it is empty: the dimension of
-    the face whose signature is the meet of the vertex masks.  Raises
-    UnboundedPolyhedron on an unbounded region."""
-    found = _vertex_masks(system)[1]
+    """Affine dimension of a polytope, -1 when it is empty: n - rank(A_S)
+    for the rows S tight on all of it, the meet of the vertex masks, as
+    {A_S x = b_S} is its affine hull.  Raises UnboundedPolyhedron on an
+    unbounded region."""
+    found = vertex_masks(system)[1]
     if not found:
         return -1
-    return _face_dim(system.A, reduce(and_, found))
+    return system.dim - rank([system.A[r] for r in rows_of(reduce(and_, found))])
 
 
 def margin_table(A, B, C=None, strict=None):
@@ -382,16 +401,29 @@ def face_of(masks, rows):
 
 def face_lattice(system):
     """Every nonempty face of a polytope as a FaceSignature, the polytope
-    itself included.
+    itself included; see `graded_faces`."""
+    return graded_faces(vertex_masks(system)[1])
 
-    A face's dimension is read off its signature S: n - rank(A_S), the
-    dimension of its affine hull {A_S x = b_S} (Schrijver 1986, ch. 8).
+
+def graded_faces(found):
+    """The face lattice of a polytope from its vertices {active row mask:
+    table entry}, as `vertex_masks` gives them: every nonempty face as a
+    FaceSignature, sorted by dimension, largest first.  Raises EmptyPolytope
+    when there is no vertex.
+
+    Dimensions are read off the lattice itself, which is graded (Ziegler,
+    Lectures on Polytopes, 1995, Thm 2.7): the faces of a face F are the
+    signatures that contain its own, and F has dimension 1 + the largest
+    dimension among those strictly containing it, 0 when there is none.
+    Signatures are visited by popcount, largest first, so every one of those
+    has its dimension already.
     """
-    found = _vertex_masks(system)[1]
     if not found:
         raise EmptyPolytope("feasible set is empty")
-    faces = [FaceSignature(rows_of(sig), _face_dim(system.A, sig))
-             for sig in closure_masks(found)]
+    dims = {}
+    for sig in sorted(closure_masks(found), key=int.bit_count, reverse=True):
+        dims[sig] = max((dims[t] + 1 for t in dims if t & sig == sig), default=0)
+    faces = [FaceSignature(rows_of(sig), d) for sig, d in dims.items()]
     return sorted(faces, key=lambda f: (-f.dim, sorted(f.active_rows)))
 
 
@@ -399,7 +431,7 @@ def redundant_rows(system):
     """Rows whose removal leaves the feasible set of a polytope unchanged.
     Raises EmptyPolytope when it is empty, UnboundedPolyhedron when it is
     unbounded."""
-    table, found = _vertex_masks(system)
+    table, found = vertex_masks(system)
     if not found:
         raise EmptyPolytope("feasible set is empty")
     m = len(system.A)

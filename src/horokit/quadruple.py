@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .errors import EmptyFace, IncompatibleQuadruples, UnboundedPolyhedron
 from .horo import sigma
 from .linalg import affine_dim, dot, frac
-from .polyhedra import (InequalitySystem, basic_points, face_lattice, face_of,
-                        feasible_at, margin_at, margin_table, rows_of,
-                        vertex_table, vertices)
+from .polyhedra import (InequalitySystem, basic_points, face_of, feasible_at,
+                        graded_faces, margin_at, margin_table, rows_of,
+                        vertex_masks, vertex_table, vertices)
 from .rootdata import coroot_pairing, flag_dimension
 
 
@@ -86,11 +86,10 @@ class OrbitInfo:
     walls: frozenset
 
 
-def face_orbit(hs, v0, points):
-    """OrbitInfo of the face of Q~ (translated by v0) spanned by the points:
-    the walls that contain them all, the surviving colors, the face
-    dimension and the orbit dimension dim G/P' + that dimension."""
-    d = affine_dim(points)
+def face_orbit(hs, v0, points, dim):
+    """OrbitInfo of the face of Q~ (translated by v0) spanned by the points,
+    of dimension dim: the walls that contain them all, the surviving colors,
+    the face dimension and the orbit dimension dim G/P' + dim."""
     walls = set()
     for alpha in hs.R:
         row, rhs = _wall(hs, v0, alpha)
@@ -98,30 +97,27 @@ def face_orbit(hs, v0, points):
             walls.add(alpha)
     r_set = hs.R - walls
     levi = {r for r in hs.G.nontrivial_roots() if r not in r_set}
-    return OrbitInfo(r_set, d, flag_dimension(hs.G, levi) + d, frozenset(walls))
+    return OrbitInfo(r_set, dim, flag_dimension(hs.G, levi) + dim, frozenset(walls))
 
 
 def orbit_of_face(q, active_rows):
     """Orbit data of the face on which the given rows are tight."""
-    return _orbit_among(q, frozenset(active_rows),
-                        basic_points(q.qtilde.A, q.qtilde.b))
-
-
-def _orbit_among(q, rows, points):
-    """orbit_of_face, read off the (point, active set) pairs of Q~."""
-    members = [pt for pt, act in points if act >= rows]
+    rows = frozenset(active_rows)
+    members = [pt for pt, act in basic_points(q.qtilde.A, q.qtilde.b) if act >= rows]
     if not members:
         raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
-    return face_orbit(q.hs, q.v0, members)
+    return face_orbit(q.hs, q.v0, members, affine_dim(members))
 
 
 def orbit_poset(q):
     """[(FaceSignature, OrbitInfo)] over all nonempty faces, closure order
-    given by reverse inclusion of the active sets.  The basic points of Q~
-    are found once, not once per face."""
-    faces = face_lattice(q.qtilde)
-    points = basic_points(q.qtilde.A, q.qtilde.b)
-    return [(f, _orbit_among(q, f.active_rows, points)) for f in faces]
+    given by reverse inclusion of the active sets.  The faces, their
+    dimensions and the basic points of Q~ come from one vertex table."""
+    found = vertex_masks(q.qtilde)[1]
+    points = [(e.point(), rows_of(mask)) for mask, e in found.items()]
+    return [(f, face_orbit(q.hs, q.v0,
+                           [pt for pt, act in points if act >= f.active_rows], f.dim))
+            for f in graded_faces(found)]
 
 
 COLLAPSED = "Collapsed"

@@ -1,7 +1,10 @@
-import pytest
+import random
 from fractions import Fraction as F
 
-from horokit import classify as cl, divisor as dv, mmp
+import pytest
+
+import gridgen
+from horokit import classify as cl, divisor as dv, mmp, polyhedra as ph
 from horokit.errors import NotAmple, PreconditionViolated
 from horokit.rootdata import (GroupProduct, Root, SL, Spin, TORUS_FACTOR,
                               TRIVIAL_FACTOR)
@@ -390,3 +393,40 @@ def test_predict_trace_skeletons():
                       (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))
     assert mmp.predict_trace_case2(spec8).event_list() == \
         [(F(1), mmp.FLIP), (F(3), mmp.FIBRATION)]
+
+
+def test_family_one_beyond_the_grid_matches_closed_forms():
+    # rank 5 with a-entries <= 6, past the acceptance grid (rank <= 4,
+    # entries <= 4): seeded draws of chains and triviality patterns, realized
+    # over A5 as in gridgen.  The trace and eps_max equal the closed form,
+    # and at generic eps so do the family's face signatures and the static
+    # face lattice of its member, whose dimensions are n - codim, as the
+    # member is full-dimensional below eps_max.
+    rng = random.Random(5)
+    n, realized, lattices = 5, 0, 0
+    while realized < 100:
+        chain = (0,) + tuple(sorted(rng.randint(0, 6) for _ in range(n)))
+        pattern = ("triv",) + tuple(
+            "r0" if chain[j] in chain[:j] else rng.choice(("outer", "triv"))
+            for j in range(1, n + 1))
+        spec = gridgen._realize_case1("A5", chain, pattern)
+        if spec is None:
+            continue
+        realized += 1
+        trace = canonical_run(cl.build_x1(spec))
+        skeleton = mmp.predict_trace_case1(spec)
+        assert trace.event_list() == skeleton.event_list(), spec
+        assert trace.eps_max == skeleton.eps_max, spec
+        if chain[n] == 0:
+            continue  # the face proposition needs a nonzero chain end
+        fam = trace.family
+        for lo, hi, _ in trace.intervals:
+            for eps in (lo + (hi - lo) / 5, lo + (hi - lo) * 3 / 5):
+                want = mmp.faces_case1(n, chain, eps)
+                assert fam.signature_masks_at(eps) == \
+                    frozenset(ph.mask_of(sig) for sig in want), (spec, eps)
+                lattice = ph.face_lattice(fam.system_at(eps))
+                assert {(f.active_rows, f.dim) for f in lattice} == \
+                    {(sig, n - codim) for sig, codim in want.items()}, (spec, eps)
+                lattices += 1
+    assert lattices > 500

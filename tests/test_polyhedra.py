@@ -68,10 +68,11 @@ PYRAMID = ph.InequalitySystem(((0, 0, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (
 
 
 def test_polytope_questions_read_one_vertex_table(monkeypatch):
-    # deterministic work counts: boundedness reads the edges of the feasible
-    # bases and face dimensions the rank of the tight rows, so no question
-    # builds a second table and face_lattice makes no affine_dim call
-    calls = {"table": 0, "affine_dim": 0}
+    # deterministic work counts: boundedness reads the signed determinants
+    # of the table and face dimensions the grading of the lattice, so no
+    # question builds a second table, face_lattice and vertices eliminate
+    # nothing beyond it, and polytope_dim makes one rank of the meet's rows
+    calls = {"table": 0, "affine_dim": 0, "echelon": 0, "bounded": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -83,12 +84,18 @@ def test_polytope_questions_read_one_vertex_table(monkeypatch):
     dim = counted("affine_dim", linalg.affine_dim)
     monkeypatch.setattr(linalg, "affine_dim", dim)
     monkeypatch.setattr(ph, "affine_dim", dim, raising=False)
+    echelon = counted("echelon", linalg.echelon)
+    monkeypatch.setattr(linalg, "echelon", echelon)
+    monkeypatch.setattr(ph, "echelon", echelon)
+    monkeypatch.setattr(ph, "_is_bounded", counted("bounded", ph._is_bounded))
+    assert not hasattr(ph, "_gauss_jordan") and not hasattr(ph, "_face_dim")
     quad = ph.InequalitySystem(((1, 0), (0, 1), (-1, -1), (1, 2)), (0, 0, -1, F(1, 2)))
     for S in (SIMPLEX2, quad, PYRAMID, ph.InequalitySystem(((1,), (-1,)), (0, 0))):
-        for question in (ph.face_lattice, ph.vertices, ph.polytope_dim):
-            calls.update(table=0, affine_dim=0)
+        for question, ranks in ((ph.face_lattice, 0), (ph.vertices, 0), (ph.polytope_dim, 1)):
+            calls.update(table=0, affine_dim=0, echelon=0, bounded=0)
             question(S)
-            assert calls == {"table": 1, "affine_dim": 0}, (question, S)
+            assert calls == {"table": 1, "affine_dim": 0, "echelon": ranks,
+                             "bounded": 1}, (question, S)
         # the system's table, then one escape table per row
         calls.update(table=0)
         ph.redundant_rows(S)
@@ -273,3 +280,49 @@ def test_boundedness_and_face_dimensions_match_definitions(S):
     points = ph.basic_points(S.A, S.b)
     for f in ph.face_lattice(S):
         assert f.dim == affine_dim([pt for pt, act in points if act >= f.active_rows])
+
+
+# The vertex table against a per-subset reference: every row subset of size
+# n solved on its own by integer Cramer's rule, nothing shared between them.
+
+@st.composite
+def _table_input(draw):
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-3, 3)
+    vec = st.tuples(*[entry] * n)
+    rows = draw(st.lists(vec, min_size=0, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            # a zero row, a duplicate or a parallel row (either direction)
+            r = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from((0, 1, 2, -1, F(1, 2))))
+            rows.insert(draw(st.integers(0, len(rows))), tuple(k * v for v in r))
+    m = len(rows)
+    b = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=m, max_size=m))
+    C = draw(st.none() | st.lists(entry, min_size=m, max_size=m))
+    return rows, b, C
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_table_input())
+def test_vertex_table_matches_per_subset_reference(case):
+    A, B, C = case
+    m = len(A)
+    n = len(A[0]) if m else 0
+    scaled, cs = int_rows([tuple(a) + (b,) for a, b in zip(A, B)],
+                          [0] * m if C is None else C)
+    a = [r[:n] for r in scaled]
+    bs = [r[n] for r in scaled]
+    want = []
+    for sub in combinations(range(m), n):
+        det = det_int([a[i] for i in sub])
+        if not det:
+            continue
+        sign, den = (1 if det > 0 else -1), abs(det)
+        # Cramer: P_j = sign * det(A_B with column j replaced by b_B)
+        P, Q = (tuple(sign * det_int([a[i][:j] + (rhs[i],) + a[i][j + 1:] for i in sub])
+                      for j in range(n)) for rhs in (bs, cs))
+        U = tuple(sum(x * y for x, y in zip(a[r], P)) - den * bs[r] for r in range(m))
+        V = tuple(sum(x * y for x, y in zip(a[r], Q)) - den * cs[r] for r in range(m))
+        want.append((ph.mask_of(sub), den, P, Q, U, V, sign))
+    assert [tuple(e) for e in ph.vertex_table(A, B, C)] == want

@@ -131,9 +131,9 @@ def test_orbit_counts_polytopes():
 
 
 def test_orbit_poset_work_counts(monkeypatch):
-    # deterministic work counts: orbit_poset builds one vertex table for the
-    # face lattice and one for the basic points, not one more per face, and
-    # agrees with orbit_of_face face by face
+    # deterministic work counts: orbit_poset reads the faces, their
+    # dimensions and the basic points off one vertex table, not one more per
+    # face, and agrees with orbit_of_face face by face
     from horokit import polyhedra as ph
     G = GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2)))
     X = cl.build_x1(cl.X1Spec(G, Root(0, 3), (Root(1, 0), Root(2, 0), Root(3, 1)),
@@ -145,7 +145,7 @@ def test_orbit_poset_work_counts(monkeypatch):
     monkeypatch.setattr(ph, "vertex_table",
                         lambda *args: tables.append(1) or table(*args))
     poset = qd.orbit_poset(q)
-    assert len(poset) == 7 and len(tables) == 2
+    assert len(poset) == 7 and len(tables) == 1
     assert poset == [(f, qd.orbit_of_face(q, f.active_rows)) for f, _ in poset]
 
 

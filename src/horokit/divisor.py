@@ -3,15 +3,26 @@ B-stable divisors on a complete embedding: piecewise linear supports,
 Cartier / globally generated / ample tests, pseudo-moment and moment
 polytopes, section weights, the anticanonical divisor and the nef basis
 certificate.
+
+Everything a divisor query needs of the fan is derived once per variety:
+`HoroVariety.skeleton()` holds, for each maximal cone, an integer basis of
+support points with its determinant and adjugate (Bareiss), so a PL function
+h_D is one integer matrix-vector product per cone; `HoroVariety.relations()`
+holds one integer relation per wall and per color off the fan, so the
+ampleness test is the sign of one integer dot product each (convexity
+across walls, Cox, Little and Schenck, Toric Varieties, 2011, §6.1; the
+colors off the fan as in Pasquier's criterion for horospherical varieties,
+2008).  Both need a complete simplicial fan.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import rootdata
 from .errors import AssertionBZeta, NotCartier, NotQCartier
-from .horo import cone_contains
-from .linalg import dot, frac, solve
+from .linalg import frac
 from .polyhedra import InequalitySystem, color_tag, gstable_tag, lattice_points
 
 AMPLE = "Ample"
@@ -72,80 +83,84 @@ class PLFunction:
     cartier: bool
     ray_values: dict = field(default_factory=dict)
 
-    def value_at(self, x):
-        for rays, form in self.pieces.items():
-            if cone_contains(rays, x):
-                return dot(form, x)
-        raise ValueError(f"{x} lies in no maximal cone (fan not complete?)")
+
+def _numerators(D, descs):
+    """The coefficients of D on descs as integer numerators over one
+    positive denominator: (numerators, denominator)."""
+    coeffs = [D.coeff(desc) for desc in descs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def pl_function(X, D):
-    """Solve for h_D cone by cone; raises NotQCartier on inconsistency.
+    """h_D, cone by cone; raises NotQCartier on inconsistency.
 
-    The cones and the support points each one contains come from
-    X.skeleton(), so only the solves depend on D.
+    X.skeleton() holds, once per variety, n independent support points of
+    each maximal cone with the determinant and adjugate of their matrix, so
+    each piece is one integer matrix-vector product over the coefficients
+    of D scaled to integers, and the other support points in the cone are
+    checked by integer dot products.  A ray's value is its support point's
+    coefficient over that point's multiple of the ray.
+
+    Exact under the precondition of `X.complete()` (a validated,
+    non-overlapping fan with simplicial maximal cones), as ample_status
+    needs.  On any other fan each full-dimensional cone still gets the form
+    that agrees with D on its support points (with a greedy basis for a cone
+    of more than n rays), and NotQCartier when there is none or more than
+    one.
     """
-    n = X.rank
-    support, cones = X.skeleton()
+    descs, cones, rays = X.skeleton()
+    d, den = _numerators(D, descs)
     pieces = {}
-    ray_values = {}
-    for rays, (inside, spanned) in cones.items():
-        if not spanned:
+    for key, t in cones.items():
+        if t is None:
             raise NotQCartier("maximal cone with underdetermined support "
                               "(unexpected for complete fans)")
-        sol = solve([support[i][1] for i in inside],
-                    [D.coeff(support[i][0]) for i in inside])
-        if sol is None:
-            raise NotQCartier(f"no linear form matches the coefficients on {rays}")
-        pieces[rays] = tuple(sol)
-        for r in rays:
-            ray_values[r] = dot(sol, r)
+        b = [d[i] for i in t.basis]
+        if any(sum(map(mul, mu, b)) != t.det * d[j] for j, mu in t.checks):
+            raise NotQCartier(f"no linear form matches the coefficients on {key}")
+        q = t.det * den
+        pieces[key] = tuple([Fraction(sum(map(mul, row, b)), q) for row in t.adj])
     if not pieces:
-        if n == 0:
+        if X.rank == 0:
             pieces[tuple()] = tuple()
         else:
             raise NotQCartier("fan has no full-dimensional cone")
+    ray_values = {r: Fraction(d[i], den * c) for r, (i, c) in rays.items()}
     cartier = D.is_integral() and all(
         all(v.denominator == 1 for v in form) for form in pieces.values())
     return PLFunction(pieces, cartier, ray_values)
 
 
 def ample_status(X, D, pl=None):
-    """Ample / globally generated / neither, via convexity of h_D."""
-    h = pl or pl_function(X, D)
-    rays = list(h.ray_values)
-    convex = True
-    strict = True
-    for crays, form in h.pieces.items():
-        inside = set(crays)
-        for r in rays:
-            val = dot(form, r)
-            if val > h.ray_values[r]:
-                convex = False
-            if r not in inside and val >= h.ray_values[r]:
-                strict = False
-    if X.rank == 0:
-        convex = strict = True
-    for a in sorted(X.hs.R - X.colors_used()):
-        s = X.image(a)
-        hv = h.value_at(s) if X.rank else Fraction(0)
-        ca = D.coeff(("c", a))
-        if hv > ca:
-            convex = False
-        if hv >= ca:
-            strict = False
-    if not convex:
+    """Ample / globally generated / neither, via convexity of h_D across
+    the walls of X and at the colors off the fan (`X.relations()`): h_D is
+    convex iff no relation is negative, strictly iff all are positive.  pl,
+    h_D when the caller has it, spares the Q-Cartier check.
+
+    Exact under the precondition of `X.complete()` (a validated,
+    non-overlapping fan with simplicial maximal cones) where it holds; raises
+    NotComplete where it fails, after NotQCartier when D is not Q-Cartier.
+    """
+    if pl is None:
+        pl_function(X, D)  # Q-Cartier gate
+    walls, colors = X.relations()
+    d, _ = _numerators(D, X.skeleton()[0])
+    values = [sum(k * d[i] for i, k in terms) for terms, _ in walls + colors]
+    if any(v < 0 for v in values):
         return NEITHER
-    return AMPLE if strict else GG_NOT_AMPLE
+    return AMPLE if all(v > 0 for v in values) else GG_NOT_AMPLE
 
 
-def moment_polytopes(X, D):
+def moment_polytopes(X, D, pl=None):
     """(pseudo-moment system, v0); the moment polytope is v0 + the system.
 
     Rows follow X.divisors: the G-stable ray or sigma(color) vector with
-    right-hand side the negated coefficient.
+    right-hand side the negated coefficient.  pl, h_D when the caller has
+    it, spares the Q-Cartier check.
     """
-    pl_function(X, D)  # Q-Cartier gate
+    if pl is None:
+        pl_function(X, D)  # Q-Cartier gate
     rows, rhs, tags = [], [], []
     for desc in X.divisors:
         rows.append(X.row_vector(desc))
@@ -162,7 +177,7 @@ def section_weights(X, D):
     h = pl_function(X, D)
     if not h.cartier:
         raise NotCartier("section weights need a Cartier divisor")
-    system, v0 = moment_polytopes(X, D)
+    system, v0 = moment_polytopes(X, D, h)
     out = []
     for pt in lattice_points(system):
         w = list(v0)
@@ -195,22 +210,26 @@ def class_cartier(X, D):
 
     Shifting by a global linear form moves every piece by the same covector,
     so the class is Cartier iff all piece differences are integral and the
-    leftover color coefficients are integral after the common shift.
+    leftover color coefficients are integral after the common shift.  Two
+    reduced fractions differ by an integer iff they have one denominator
+    and congruent numerators; a color off the fan is read off its relation
+    in `X.relations()`, whose value is c_a - h_D(sigma(a)).  Needs a
+    complete simplicial fan, as ample_status does.
     """
     try:
         h = pl_function(X, D)
     except NotQCartier:
         return False
+    colors = X.relations()[1]
     forms = list(h.pieces.values())
     base = forms[0]
     for form in forms[1:]:
-        if any((u - v).denominator != 1 for u, v in zip(form, base)):
+        if any(u.denominator != v.denominator or (u.numerator - v.numerator) % u.denominator
+               for u, v in zip(form, base)):
             return False
-    for a in sorted(X.hs.R - X.colors_used()):
-        s = X.image(a)
-        if (D.coeff(("c", a)) - dot(base, s)).denominator != 1:
-            return False
-    return True
+    d, den = _numerators(D, X.skeleton()[0])
+    return all(sum(k * d[i] for i, k in terms) % (rden * den) == 0
+               for terms, rden in colors)
 
 
 def verify_nef_generators(X, Da, Db):

@@ -16,10 +16,11 @@ from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from . import rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
-from .linalg import det_int, echelon, is_zero, primitive, rank, solve
+from .linalg import adjugate, det_int, echelon, is_zero, primitive, rank, solve
 from .rootdata import GroupProduct, Root, coroot_pairing, flag_dimension
 
 
@@ -311,6 +312,24 @@ def _relints_meet(c1, rays1, c2, rays2):
 # The bundled variety object used by the divisor / mmp layers
 
 
+class ConeBasis(NamedTuple):
+    """n independent support points of a maximal cone, by index, with the
+    determinant and adjugate of the matrix whose rows they are, and each
+    other support point inside the cone with its coordinates mu in that
+    basis (p = sum mu_i s_i / det)."""
+
+    basis: tuple
+    det: int
+    adj: tuple
+    checks: tuple
+
+
+def _coords(adj, p):
+    """det times the coordinates of p in the basis whose adjugate is adj:
+    adj^T p."""
+    return tuple([sum([row[i] * x for row, x in zip(adj, p)]) for i in range(len(adj))])
+
+
 def _once(method):
     """Derive a HoroVariety method's value once per variety and argument."""
     @wraps(method)
@@ -328,7 +347,7 @@ class HoroVariety:
     Any colored fan can be wrapped, an invalid one included (`cli` builds the
     variety before `validate_fan(X)` reports on it).  `complete()` and
     `picard_rank()` need a fan that `validate_fan` accepts, with simplicial
-    full-dimensional cones; `skeleton()` and the divisor layer also need it
+    full-dimensional cones; `relations()` and the divisor layer also need it
     complete.
 
     divisors is a tuple of descriptors, one per B-stable prime divisor:
@@ -383,21 +402,99 @@ class HoroVariety:
 
     @_once
     def skeleton(self):
-        """(support, cones): the (descriptor, point) pairs pinning a PL
-        function (G-stable rays, then the images of the colors in the fan),
-        and each full-dimensional cone once, in fan order, as
-        rays -> (indices of the support points inside, do they span N?)."""
-        support = [(d, self.row_vector(d)) for d in
-                   [("x", r) for r in self.gstable_rays] +
-                   [("c", a) for a in sorted(self.colors_used())]]
-        cones = {}
-        for rays in self.cone_rays():
-            if len(rays) >= self.rank and rays not in cones:
-                inside = [i for i, (_, p) in enumerate(support)
-                          if cone_contains(rays, p)]
-                pts = [support[i][1] for i in inside]
-                cones[rays] = (inside, rank(pts) == self.rank)
-        return support, cones
+        """(descs, cones, rays), derived once for every PL function on the fan.
+
+        descs are the descriptors whose coefficients a PL function h reads:
+        the support points that pin it (the G-stable rays, then the images
+        of the colors in the fan), then the colors off the fan.  cones holds
+        each full-dimensional cone once, in fan order, as rays -> ConeBasis:
+        n independent support points on its rays, with the determinant and
+        adjugate of their matrix, and the other support points inside the
+        cone, where h must agree; None when its support points do not span
+        N.  rays maps each ray of those cones to (index of a support point
+        on it, that point over the primitive ray).
+
+        A simplicial cone's basis is its rays' points, and its adjugate also
+        tells which support points lie inside: those with coefficients >= 0
+        in that basis.  Only a cone with more than n rays takes
+        `cone_contains` and a greedy basis.
+        """
+        n = self.rank
+        pins = [("x", r) for r in self.gstable_rays] + \
+            [("c", a) for a in sorted(self.colors_used())]
+        points = [tuple(int(v) for v in self.row_vector(d)) for d in pins]
+        descs = tuple(pins) + tuple(("c", a) for a in sorted(self.hs.R - self.colors_used()))
+        on_ray = {}
+        for i, p in enumerate(points):
+            on_ray.setdefault(primitive(p), (i, gcd(*p)))
+        cones, rays = {}, {}
+        for key in self.cone_rays():
+            if len(key) < n or key in cones:
+                continue
+            for r in key:
+                rays[r] = on_ray[r]
+            if len(key) == n:
+                basis = [on_ray[r][0] for r in key]
+                det, adj = adjugate([points[i] for i in basis])
+                inside = [] if adj is None else [
+                    i for i, p in enumerate(points)
+                    if all(det * mu >= 0 for mu in _coords(adj, p))]
+            else:
+                inside = [i for i, p in enumerate(points) if cone_contains(key, p)]
+                basis = []
+                for i in inside:
+                    if rank([points[j] for j in basis + [i]]) > len(basis):
+                        basis.append(i)
+                det, adj = adjugate([points[i] for i in basis]) if len(basis) == n \
+                    else (0, None)
+            cones[key] = None if adj is None else ConeBasis(
+                tuple(basis), det, adj,
+                tuple((i, _coords(adj, points[i])) for i in inside if i not in basis))
+        return descs, cones, rays
+
+    @_once
+    def relations(self):
+        """(walls, colors): integer relations on the coefficients of the
+        descriptors of `skeleton()` that decide the convexity of a PL
+        function h, on a complete simplicial fan; NotComplete where
+        `complete()` fails.  Exact under the precondition of complete()
+        (validated, non-overlapping, simplicial).
+
+        A relation is (terms, den), terms ((descriptor index, integer), ...),
+        and its value on a coefficient vector c is sum(k c_i) / den.  For
+        each wall of `walls()`, between cones s and t, the value is
+        h(p) - f_s(p) at the support point p on the ray of t off the wall,
+        f_s the form of h on s: h is convex iff every wall value is >= 0,
+        and strictly convex iff every one is > 0, since h - f_s is linear on
+        t (local convexity across walls; Cox, Little and Schenck, Toric
+        Varieties, 2011, §6.1).  For each color a off the fan, the value is
+        c_a - h(sigma(a)), with h read on the first maximal cone that holds
+        sigma(a).  den is the absolute determinant of the basis of s, or of
+        that cone.
+        """
+        if not self.complete():
+            raise NotComplete("convexity relations need a complete fan")
+        descs, cones, rays = self.skeleton()
+        cone_rays = self.cone_rays()
+
+        def relation(t, j, p):
+            s = 1 if t.det > 0 else -1
+            return (((j, s * t.det),) + tuple(
+                (i, -s * mu) for i, mu in zip(t.basis, _coords(t.adj, p))), s * t.det)
+
+        walls = []
+        for wall, ((k, _), (l, _)) in self.walls().items():
+            u = next(r for r in cone_rays[l] if r not in wall)
+            j, c = rays[u]
+            walls.append(relation(cones[cone_rays[k]], j, [c * x for x in u]))
+        colors = []
+        for j, desc in enumerate(descs):
+            if desc[0] == "c" and desc[1] not in self.colors_used():
+                p = self.image(desc[1])
+                t = next(t for t in cones.values() if t is not None and
+                         all(t.det * mu >= 0 for mu in _coords(t.adj, p)))
+                colors.append(relation(t, j, p))
+        return tuple(walls), tuple(colors)
 
     @_once
     def complete(self):

@@ -14,10 +14,6 @@ def frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(xs):
-    return tuple(frac(x) for x in xs)
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -118,6 +114,35 @@ def det_int(rows):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def adjugate(rows):
+    """(det, adj) of a small square integer matrix, adj the adjugate, so
+    that A adj = det I.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: every row other than
+    the pivot row k becomes (p_k a - a_k p) / p_(k-1), an exact division,
+    so at the end the left block is p I and the right block p A^-1, with p
+    the last pivot, det A up to the sign of the row swaps.  adj is None when
+    A is singular.
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p = m[k]
+        for i in range(n):
+            f = m[i][k]
+            if i != k:
+                m[i] = [(p[k] * a - f * b) // prev for a, b in zip(m[i], p)]
+        prev = p[k]
+    return sign * prev, tuple(tuple(sign * a for a in row[n:]) for row in m)
 
 
 def primitive(v):

@@ -12,10 +12,18 @@ are the roots of those affine slacks and margins; at a given eps every
 feasibility test is an integer sign test.  Faces are the active-set masks
 closed under `polyhedra.closure_masks`, and signatures are compared after
 pruning redundant G-stable rows, never color rows.
+
+The sorted roots of the family's slacks cut the eps line into chambers,
+each root one and each open interval between two consecutive roots one.
+Every slack keeps its sign on a chamber, so the face queries
+(`signature_masks_at`, `signatures_at`, `pruned_rows_at`) are answered
+once per chamber and then read back, keyed by bisecting the roots.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 
 from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
@@ -63,6 +71,22 @@ class MMPTrace:
         return [(e.epsilon, e.kind) for e in self.events]
 
 
+def _per_chamber(method):
+    """Answer a face query once per chamber of eps (`MMPFamily.chamber`).
+
+    The query reads only the signs of the slacks of the family's vertex
+    table at eps, through `feasible_at` and `row_is_redundant`, so its
+    answer is the same everywhere in a chamber.
+    """
+    @wraps(method)
+    def cached(self, eps, *args, **kwargs):
+        key = (method.__name__, self.chamber(eps), args, tuple(sorted(kwargs.items())))
+        if key not in self._chambers:
+            self._chambers[key] = method(self, eps, *args, **kwargs)
+        return self._chambers[key]
+    return cached
+
+
 class MMPFamily:
     """Parametric family bound to a variety; rows follow X.divisors."""
 
@@ -79,6 +103,8 @@ class MMPFamily:
         self._vertex_data = None
         self._lifted_data = None
         self._recession = {}
+        self._roots = None
+        self._chambers = {}
 
     # -- parametric vertex preprocessing -----------------------------------
 
@@ -88,6 +114,22 @@ class MMPFamily:
         if self._vertex_data is None:
             self._vertex_data = vertex_table(self.A, self.B, self.C)
         return self._vertex_data
+
+    def roots(self):
+        """The sorted distinct roots -U/V of the affine row slacks U + eps V
+        of the family's vertex table."""
+        if self._roots is None:
+            self._roots = sorted({Fraction(-u, v) for e in self._vertices()
+                                  for u, v in zip(e.U, e.V) if v})
+        return self._roots
+
+    def chamber(self, eps):
+        """The chamber of eps, on which every slack of the vertex table keeps
+        its sign: 2 i + 1 at the i-th root, 2 i on the open interval below
+        it."""
+        roots = self.roots()
+        i = bisect_left(roots, eps)
+        return 2 * i + (i < len(roots) and roots[i] == eps)
 
     def points_at(self, eps, keep=None):
         """Distinct feasible candidate points at eps with their active rows,
@@ -107,6 +149,7 @@ class MMPFamily:
         """Exact max t with A x >= B + eps C + t, t <= 1 (None: infeasible)."""
         return margin_at(self._lifted(), eps)
 
+    @_per_chamber
     def pruned_rows_at(self, eps):
         """Redundant G-stable rows at eps, dropped greedily by index."""
         full = (1 << self.m) - 1
@@ -122,12 +165,14 @@ class MMPFamily:
                     break
         return rows_of(full & ~keep), rows_of(keep)
 
+    @_per_chamber
     def signatures_at(self, eps, prune=True):
         """Canonical face-signature set at eps (pruned of redundant rows)."""
         keep = mask_of(self.pruned_rows_at(eps)[1]) if prune else None
         found = feasible_at(self._vertices(), eps, keep)
         return frozenset(rows_of(sig) for sig in closure_masks(found))
 
+    @_per_chamber
     def signature_masks_at(self, eps):
         """Unpruned face signatures as row bitmasks (fast comparison path)."""
         return frozenset(closure_masks(feasible_at(self._vertices(), eps)))
@@ -154,11 +199,12 @@ class MMPFamily:
 
 def build_family(X, D, Delta):
     """Family of (X, D + eps(K_X + Delta)); rows follow X.divisors."""
-    if ample_status(X, D) != AMPLE:
+    h = pl_function(X, D)
+    if ample_status(X, D, h) != AMPLE:
         raise NotAmple("the reference divisor must be ample")
     KD = Delta - anticanonical(X)
     pl_function(X, KD)  # Q-Cartier gate for K_X + Delta
-    system, v0 = moment_polytopes(X, D)
+    system, v0 = moment_polytopes(X, D, h)
     B = tuple(-D.coeff(desc) for desc in X.divisors)
     C = tuple(-KD.coeff(desc) for desc in X.divisors)
     v1 = X.G.zero_weight()
@@ -170,17 +216,15 @@ def build_family(X, D, Delta):
 def critical_epsilons(fam):
     """(sorted event candidates < eps_max, eps_max); exact rationals.
 
-    Candidates are the roots of the parametric vertex/row crossing slacks
-    plus the margin roots of (n+1)-row systems (these cover every kink of
-    the concave strict-feasibility value, hence the admissibility loss).
+    Candidates are the positive roots of the parametric vertex/row crossing
+    slacks (`MMPFamily.roots`) plus the margin roots of (n+1)-row systems
+    (these cover every kink of the concave strict-feasibility value, hence
+    the admissibility loss).
     """
     if not fam.admissible(0):
         raise DegenerateFamily("the family is not admissible at eps = 0")
-    cands = set()
-    for e in fam._vertices():
-        for u, v in zip(e.U, e.V):
-            if u * v < 0:
-                cands.add(Fraction(-u, v))
+    roots = fam.roots()
+    cands = set(roots[bisect_right(roots, 0):])   # u v < 0: a root > 0
     for e in fam._lifted():
         if e.P[-1] * e.Q[-1] < 0:
             cands.add(Fraction(-e.P[-1], e.Q[-1]))

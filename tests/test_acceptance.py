@@ -143,6 +143,7 @@ def test_criterion_2_oracle_equivalence_grid():
 
 
 def test_criterion_3_picard_and_nef():
+    t0 = time.time()
     for spec in GRID1 + GRID2:
         X = _build(spec)
         assert X.smooth(), spec
@@ -151,7 +152,7 @@ def test_criterion_3_picard_and_nef():
         assert dv.verify_nef_generators(X, X.boundary_divisor(0),
                                         X.boundary_divisor(last)), spec
     _announce(3, "picard rank and nef basis", True,
-              f"{len(GRID1) + len(GRID2)} specs")
+              f"{len(GRID1) + len(GRID2)} specs, {time.time() - t0:.1f}s")
 
 
 def test_criterion_4_normalization():

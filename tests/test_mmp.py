@@ -251,7 +251,8 @@ README_SPEC = (GroupProduct((SL(3), TRIVIAL_FACTOR, TORUS_FACTOR, TORUS_FACTOR))
 def test_fan_geometry_work_counts(monkeypatch):
     # deterministic work counts, next to the wall-clock bounds of the
     # acceptance suite: a variety derives its fan skeleton once, not per
-    # divisor
+    # divisor, with one adjugate per maximal cone and no cone_contains call;
+    # a sweep of face queries computes one face lattice per chamber it hits
     from horokit import horo
     counts = {}
 
@@ -262,20 +263,85 @@ def test_fan_geometry_work_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(horo, "extreme_rays", counted("rays", horo.extreme_rays))
+    monkeypatch.setattr(horo, "adjugate", counted("adjugate", horo.adjugate))
+    monkeypatch.setattr(horo, "cone_contains", counted("contains", horo.cone_contains))
+    monkeypatch.setattr(mmp, "closure_masks", counted("lattices", mmp.closure_masks))
 
     def work():
-        counts.update(rays=0)
+        counts.update(rays=0, adjugate=0, contains=0, lattices=0)
         _, X = x1(*README_SPEC)
-        canonical_run(X)
+        built = dict(counts)
+        trace = canonical_run(X)
+        last = len(X.divisors) - 1
+        D0, Dlast = X.boundary_divisor(0), X.boundary_divisor(last)
+        assert dv.verify_nef_generators(X, D0, Dlast)
         run = dict(counts)
-        D = X.boundary_divisor(0) + X.boundary_divisor(len(X.divisors) - 1)
-        rays_before = counts["rays"]
-        dv.pl_function(X, D)
-        return run, counts["rays"] - rays_before
+        dv.pl_function(X, D0 + Dlast)
+        again = {k: counts[k] - run[k] for k in ("rays", "adjugate", "contains")}
+        fam = trace.family
+        table = fam._vertices()
+        signs, before = set(), counts["lattices"]
+        for lo, hi, _ in trace.intervals:
+            for j in range(1, 21):
+                eps = lo + (hi - lo) * F(2 * j - 1, 41)
+                fam.signature_masks_at(eps)
+                signs.add(tuple((u * eps.denominator + v * eps.numerator > 0) -
+                                (u * eps.denominator + v * eps.numerator < 0)
+                                for e in table for u, v in zip(e.U, e.V)))
+        sweep = counts["lattices"] - before
+        assert sweep == len(signs)
+        maximal = sum(len(r) == X.rank for r in X.cone_rays())
+        return built, run, again, maximal, len(trace.intervals), sweep
 
     first = work()
-    assert first[0]["rays"] > 0 and first[1] == 0, first
+    built, run, again, maximal, intervals, sweep = first
+    assert built["rays"] > 0 and run["rays"] == built["rays"], first
+    assert run["adjugate"] == maximal == 3 and run["contains"] == built["contains"], first
+    assert again == {"rays": 0, "adjugate": 0, "contains": 0}, first
+    assert (intervals, sweep) == (3, 3), first
     assert work() == first
+
+
+def test_chamber_memo_matches_recomputation():
+    # the face queries answer once per chamber of eps; on seeded grid specs,
+    # at every candidate, midpoint and 20 generic points per interval, at 0,
+    # below 0, past eps_max, and at every root of a slack (candidate or not)
+    # and between two consecutive ones, they equal a recomputation on a copy
+    # of the family with no chamber answered yet, as they do on the family
+    # moved to put its breakpoints below 0.  The queries run in shuffled
+    # order, so a stale chamber would show.
+    import copy
+    rng = random.Random(23)
+    grid = gridgen.case1_grid() + gridgen.case2_grid()
+    names = ("signature_masks_at", "signatures_at", "pruned_rows_at")
+    off_candidates = 0
+    for spec in rng.sample(grid, 10):
+        X = cl.build_x1(spec) if isinstance(spec, cl.X1Spec) else cl.build_x2(spec)
+        fam = canonical_run(X).family
+        cands, eps_max = mmp.critical_epsilons(fam)
+        cuts = [F(0)] + cands + [eps_max]
+        points = set(cuts) | {F(-1, 3), eps_max + F(1, 2), 2 * eps_max}
+        for lo, hi in zip(cuts, cuts[1:]):
+            points |= {lo + (hi - lo) * F(2 * j - 1, 41) for j in range(1, 21)}
+            points.add((lo + hi) / 2)
+        # every chamber: each root of a slack, and a point between two
+        # consecutive roots, below the first and above the last
+        roots = sorted({F(-u, v) for e in fam._vertices() for u, v in zip(e.U, e.V) if v})
+        off_candidates += len(set(roots) - set(cands))
+        points |= set(roots) | {(a + b) / 2 for a, b in zip(roots, roots[1:])}
+        points |= {roots[0] - 1, roots[-1] + 1}
+        # the same family moved down by eps_max / 2 puts breakpoints below 0
+        t = eps_max / 2
+        moved = mmp.MMPFamily(X, fam.A, tuple(b + t * c for b, c in zip(fam.B, fam.C)),
+                              fam.C, fam.tags, fam.v0, fam.v1)
+        queries = [(f, name, eps - s) for f, s in ((fam, 0), (moved, t))
+                   for name in names for eps in points]
+        rng.shuffle(queries)
+        for f, name, eps in queries:
+            fresh = copy.copy(f)
+            fresh._chambers = {}
+            assert getattr(f, name)(eps) == getattr(fresh, name)(eps), (spec, name, eps)
+    assert off_candidates > 0
 
 
 B3_TAIL = (GroupProduct((TRIVIAL_FACTOR, TORUS_FACTOR, TORUS_FACTOR, TORUS_FACTOR,

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from . import rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
-from .linalg import adjugate, det_int, echelon, is_zero, primitive, rank, solve
+from .linalg import (adjugate, det_int, echelon, int_rank, is_zero, primitive, rank,
+                     solve)
 from .rootdata import GroupProduct, Root, coroot_pairing, flag_dimension
 
 
@@ -93,17 +94,21 @@ class ColoredFan:
 
 
 def extreme_rays(generators):
-    """Primitive extreme rays of the cone, sorted: the distinct primitive
-    generators g with g not in the cone of the others.
+    """Primitive extreme rays of the cone of integer generators, sorted: the
+    distinct primitive generators g with g not in the cone of the others.
 
-    Linearly independent rays are all extreme, with no membership test.
+    A generator's primitive vector is its quotient by the gcd of its
+    entries.  Linearly independent rays are all extreme, with no membership
+    test.
     """
     prims = []
     for g in generators:
-        p = primitive(g)
-        if not is_zero(p) and p not in prims:
-            prims.append(p)
-    if rank(prims) == len(prims):
+        k = gcd(*g)
+        if k:
+            p = tuple([x // k for x in g])
+            if p not in prims:
+                prims.append(p)
+    if int_rank(prims) == len(prims):
         return tuple(sorted(prims))
     return tuple(sorted(g for i, g in enumerate(prims)
                         if not cone_contains(prims[:i] + prims[i + 1:], g)))

@@ -36,7 +36,11 @@ def _scaled(row):
 def echelon(rows):
     """Fraction-free Gauss-Jordan on the rows scaled to integers, each new
     row divided by its content.  Returns (integer rows, pivot_columns)."""
-    m = [_scaled(row) for row in rows]
+    return _echelon([_scaled(row) for row in rows])
+
+
+def _echelon(m):
+    """`echelon` of a list of integer row lists, reduced in place."""
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -66,6 +70,11 @@ def rref(rows):
 
 def rank(rows):
     return len(echelon(rows)[1])
+
+
+def int_rank(rows):
+    """The rank of integer rows, with no scaling."""
+    return len(_echelon([list(row) for row in rows])[1])
 
 
 def solve(rows, rhs):

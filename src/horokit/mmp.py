@@ -4,20 +4,26 @@ polytopes Q~(eps) = {x : A x >= B + eps C}, exact breakpoint detection and
 classification (flip / divisorial contraction / terminal fibration), fiber
 records, and the closed-form predictions for the two standard families.
 
-Everything is exact and rests on two vertex tables (`polyhedra.vertex_table`)
-built once per family: one of the family itself, whose points and row
-slacks are affine in eps, and one of its margin system, whose strict
-feasibility value is concave piecewise linear in eps.  Candidate breakpoints
-are the roots of those affine slacks and margins; at a given eps every
+Everything is exact and rests on one vertex table (`polyhedra.vertex_table`)
+built once per family, whose points and row slacks are affine in eps.
+Candidate breakpoints are the roots of those slacks; at a given eps every
 feasibility test is an integer sign test.  Faces are the active-set masks
 closed under `polyhedra.closure_masks`, and signatures are compared after
 pruning redundant G-stable rows, never color rows.
 
+The rows A are fixed and D is ample, so the polytope is bounded at eps = 0
+and hence at every eps where it is nonempty: its recession cone
+{d : A d >= 0} does not depend on eps.  On a bounded polytope every
+question of a run reads that one table: admissibility (no row tight on
+every vertex), eps_max (the first positive root where admissibility
+fails), row redundancy (`polyhedra.row_is_redundant`) and the fibers.
+
 The sorted roots of the family's slacks cut the eps line into chambers,
 each root one and each open interval between two consecutive roots one.
 Every slack keeps its sign on a chamber, so the face queries
-(`signature_masks_at`, `signatures_at`, `pruned_rows_at`) are answered
-once per chamber and then read back, keyed by bisecting the roots.
+(`admissible`, `signature_masks_at`, `signatures_at`, `pruned_rows_at`) are
+answered once per chamber and then read back, keyed by bisecting the
+roots.
 """
 
 from bisect import bisect_left, bisect_right
@@ -28,12 +34,12 @@ from itertools import combinations
 
 from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
-                     NotRestrictedForm, PreconditionViolated)
-from .linalg import affine_dim, frac
-from .polyhedra import (InequalitySystem, closure_masks, face_of, feasible_at,
-                        margin_at, margin_table, mask_of, row_is_redundant,
+                     NotRestrictedForm, PreconditionViolated, UnboundedPolyhedron)
+from .linalg import frac, rank
+from .polyhedra import (InequalitySystem, _is_bounded, closure_masks, face_of,
+                        feasible_at, has_interior, mask_of, row_is_redundant,
                         rows_of, vertex_table)
-from .quadruple import AdmissibleQuadruple, face_orbit
+from .quadruple import AdmissibleQuadruple, face_orbit, vertex_walls, wall_rows
 
 FLIP = "Flip"
 DIVISORIAL = "DivisorialContraction"
@@ -101,8 +107,6 @@ class MMPFamily:
         self.n = len(self.A[0]) if self.A else 0
         self.m = len(self.A)
         self._vertex_data = None
-        self._lifted_data = None
-        self._recession = {}
         self._roots = None
         self._chambers = {}
 
@@ -131,24 +135,6 @@ class MMPFamily:
         i = bisect_left(roots, eps)
         return 2 * i + (i < len(roots) and roots[i] == eps)
 
-    def points_at(self, eps, keep=None):
-        """Distinct feasible candidate points at eps with their active rows,
-        restricted to the kept rows."""
-        keep = None if keep is None else mask_of(keep)
-        found = feasible_at(self._vertices(), eps, keep)
-        return sorted((e.point(eps), rows_of(mask)) for mask, e in found.items())
-
-    def _lifted(self):
-        """Vertex table of the margin system {A x - t >= B + eps C, t <= 1}:
-        the strict-feasibility value max t is read off these."""
-        if self._lifted_data is None:
-            self._lifted_data = margin_table(self.A, self.B, self.C)
-        return self._lifted_data
-
-    def margin_value(self, eps):
-        """Exact max t with A x >= B + eps C + t, t <= 1 (None: infeasible)."""
-        return margin_at(self._lifted(), eps)
-
     @_per_chamber
     def pruned_rows_at(self, eps):
         """Redundant G-stable rows at eps, dropped greedily by index."""
@@ -159,7 +145,7 @@ class MMPFamily:
             changed = False
             for r in sorted(rows_of(keep)):
                 if self.tags[r][0] == "x" and row_is_redundant(
-                        self.A, self._vertices(), r, keep, eps, self._recession):
+                        self._vertices(), r, keep, eps):
                     keep &= ~(1 << r)
                     changed = True
                     break
@@ -190,11 +176,17 @@ class MMPFamily:
     def quadruple_at(self, eps):
         return AdmissibleQuadruple(self.X.hs, self.system_at(eps), self.v_at(eps))
 
+    @_per_chamber
     def admissible(self, eps):
-        """All rows strictly satisfiable: full dimension plus the interior
-        dominance condition (color rows pair fundamental weights)."""
-        margin = self.margin_value(eps)
-        return margin is not None and margin > 0
+        """All rows strictly satisfiable at eps: full dimension plus the
+        interior dominance condition (color rows pair fundamental weights).
+
+        Read off the family's vertex table: Q~(eps) is nonempty and no row
+        is tight on all of its vertices (`polyhedra.has_interior`; Ziegler,
+        Lectures on Polytopes, 1995, ch. 2).  Exact on a bounded family,
+        which `critical_epsilons` checks and `build_family` guarantees.
+        """
+        return has_interior(feasible_at(self._vertices(), eps))
 
 
 def build_family(X, D, Delta):
@@ -216,34 +208,30 @@ def build_family(X, D, Delta):
 def critical_epsilons(fam):
     """(sorted event candidates < eps_max, eps_max); exact rationals.
 
-    Candidates are the positive roots of the parametric vertex/row crossing
-    slacks (`MMPFamily.roots`) plus the margin roots of (n+1)-row systems
-    (these cover every kink of the concave strict-feasibility value, hence
-    the admissibility loss).
+    The candidates are the positive roots of the slacks of the family's
+    vertex table (`MMPFamily.roots`), and eps_max is the first of them at
+    which the family is not admissible, None when there is none.  On a
+    bounded family that is exact: the eps where Q~(eps) has an interior
+    point form an open interval, as the strict-feasibility margin is
+    concave in eps.  At its finite end Q~ is nonempty with a row tight on
+    all of it, a row that is slack at a vertex just below, so that vertex's
+    slack has a root there.  Past the last root nothing changes.
+
+    Raises DegenerateFamily when the family is not admissible at eps = 0,
+    and UnboundedPolyhedron when Q~(0) is unbounded (`polyhedra._is_bounded`
+    on the family's table), where the rules above are not exact;
+    `build_family` never gives such a family, as D is ample.
     """
+    if not _is_bounded(fam._vertices()):
+        raise UnboundedPolyhedron("the family's polytope is unbounded at eps = 0")
     if not fam.admissible(0):
         raise DegenerateFamily("the family is not admissible at eps = 0")
     roots = fam.roots()
-    cands = set(roots[bisect_right(roots, 0):])   # u v < 0: a root > 0
-    for e in fam._lifted():
-        if e.P[-1] * e.Q[-1] < 0:
-            cands.add(Fraction(-e.P[-1], e.Q[-1]))
-    cands = sorted(cands)
-    eps_max = None
-    for c in cands:
+    cands = roots[bisect_right(roots, 0):]
+    for i, c in enumerate(cands):
         if not fam.admissible(c):
-            eps_max = c
-            break
-    if eps_max is None:
-        # Every kink of the concave margin value is among the candidates, so
-        # the value is affine beyond the last one; read off its root.
-        lc = cands[-1] if cands else Fraction(0)
-        m0 = fam.margin_value(lc)
-        m1 = fam.margin_value(lc + 1)
-        if m1 >= m0:
-            return list(cands), None
-        eps_max = lc + m0 / (m0 - m1)
-    return [c for c in cands if c < eps_max], eps_max
+            return cands[:i], c
+    return cands, None
 
 
 def classify_breakpoints(fam, cands, eps_max):
@@ -302,35 +290,38 @@ def general_fiber(fam, eps_below, eps_max):
     out by its maximal active rows.  There is always a unique biggest
     source orbit over each target orbit; its absence is an internal error.
     """
-    src_pts = fam.points_at(eps_below)
-    tgt_pts = fam.points_at(eps_max)
-    if not tgt_pts:
+    table = fam._vertices()
+    src, tgt = feasible_at(table, eps_below), feasible_at(table, eps_max)
+    if not tgt:
         raise NoMaximalPreimage("the terminal polytope is empty")
-    tgt_masks = [mask_of(act) for _, act in tgt_pts]
     preimages = {}
-    for sig in closure_masks(mask_of(act) for _, act in src_pts):
-        tgt = face_of(tgt_masks, sig)
-        if tgt is None:
+    for sig in closure_masks(src):
+        image = face_of(tgt, sig)
+        if image is None:
             raise NoMaximalPreimage(f"face {sorted(rows_of(sig))} has empty image")
-        preimages.setdefault(rows_of(tgt), []).append(rows_of(sig))
-    hs = fam.X.hs
+        preimages.setdefault(image, []).append(sig)
+    X = fam.X
+    src_walls, tgt_walls = (vertex_walls(wall_rows(X.hs, fam.v_at(eps)), found, eps)
+                            for found, eps in ((src, eps_below), (tgt, eps_max)))
+
+    def orbit(walls, sig):
+        # the affine hull of the face is {A_S x = B_S + eps C_S}, S = sig
+        return face_orbit(X.hs, walls, sig, fam.n - rank([fam.A[r] for r in rows_of(sig)]))
+
     records = []
-    for tgt_sig in sorted(map(rows_of, closure_masks(tgt_masks)), key=sorted):
-        pre = preimages.get(tgt_sig, [])
+    for image in sorted(closure_masks(tgt), key=lambda sig: sorted(rows_of(sig))):
+        pre = preimages.get(image, [])
         if not pre:
             raise NoMaximalPreimage("fibration misses a target orbit")
-        best = min(pre, key=lambda s: (len(s), sorted(s)))
-        if any(not (s >= best) for s in pre):
+        best = min(pre, key=lambda sig: (sig.bit_count(), sorted(rows_of(sig))))
+        if any(sig & best != best for sig in pre):
             raise NoMaximalPreimage("no unique biggest source orbit")
-        src_face = [pt for pt, act in src_pts if act >= best]
-        tgt_face = [pt for pt, act in tgt_pts if act >= tgt_sig]
-        src = face_orbit(hs, fam.v_at(eps_below), src_face, affine_dim(src_face))
-        tgt = face_orbit(hs, fam.v_at(eps_max), tgt_face, affine_dim(tgt_face))
+        s, t = orbit(src_walls, best), orbit(tgt_walls, image)
         num = den = None
-        if src.rank == tgt.rank:
-            num, den = tgt.r_set, src.r_set
-        records.append(FiberRecord(src.dim - tgt.dim, src.rank - tgt.rank,
-                                   best, tgt_sig, num, den))
+        if s.rank == t.rank:
+            num, den = t.r_set, s.r_set
+        records.append(FiberRecord(s.dim - t.dim, s.rank - t.rank,
+                                   rows_of(best), rows_of(image), num, den))
     return records
 
 

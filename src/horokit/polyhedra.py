@@ -11,8 +11,7 @@ its determinant.  The table is built in one depth-first pass over the row
 subsets, which shares the elimination of a common prefix and skips every
 subset through a dependent one.  Vertices are the feasible entries, keyed
 by their active rows as bitmasks, and faces are the intersection closure of
-those masks.  The strict-feasibility margin, the row redundancy test and
-the emptiness test read the same kind of table.
+those masks.  The emptiness test reads the same kind of table.
 
 Every static polytope question reads the one table of its system and
 eliminates nothing more (Schrijver, Theory of Linear and Integer
@@ -24,7 +23,11 @@ Programming, 1986, ch. 8):
   the row products A_r d are ratios of signed determinants in the table;
 - the dimension of a face from the lattice's grading (Ziegler, Lectures on
   Polytopes, 1995, Thm 2.7): one more than the largest dimension of a face
-  strictly inside it, 0 for a vertex.
+  strictly inside it, 0 for a vertex;
+- row redundancy, among any subset of the rows and at any eps: the other
+  rows must bound a region whose vertices all satisfy the row;
+- strict feasibility of a set of rows: no row of it is tight on every
+  vertex.
 Vertices, dimensions, face lattices and redundant rows are asked of
 polytopes: an unbounded region raises UnboundedPolyhedron.  Everything stays
 in exact arithmetic.
@@ -187,6 +190,30 @@ def vertex_table(A, B, C=None):
     return out
 
 
+def _feasible(table, eps, keep):
+    """(kept rows, [(entry, its slacks on them scaled by the denominator of
+    eps)]) over every entry of the table feasible at eps whose basis lies
+    inside keep (a row mask, -1 for all rows)."""
+    eps = frac(eps)
+    p, q = eps.numerator, eps.denominator
+    if not table:
+        return [], []
+    rows = [r for r in range(len(table[0].U)) if keep >> r & 1]
+    if keep == -1 and not p:
+        # every row at eps = 0, where a slack is U: the static questions'
+        # case, which a face lattice asks once per system
+        return rows, [(e, e.U) for e in table if min(e.U, default=0) >= 0]
+    out = []
+    for e in table:
+        if e.basis & ~keep:
+            continue
+        U, V = e.U, e.V
+        slack = [U[r] * q + V[r] * p for r in rows]
+        if min(slack, default=0) >= 0:
+            out.append((e, slack))
+    return rows, out
+
+
 def feasible_at(table, eps=0, keep=None):
     """The entries of a vertex table that are feasible at eps, one per
     active set: {active row mask: entry}.
@@ -196,20 +223,9 @@ def feasible_at(table, eps=0, keep=None):
     A feasible basic point is determined by its active set, so the masks
     stand for distinct points.
     """
-    eps = frac(eps)
-    p, q = eps.numerator, eps.denominator
-    keep = -1 if keep is None else keep
+    rows, feasible = _feasible(table, eps, -1 if keep is None else keep)
     out = {}
-    if not table:
-        return out
-    rows = [r for r in range(len(table[0].U)) if keep >> r & 1]
-    for e in table:
-        if e.basis & ~keep:
-            continue
-        U, V = e.U, e.V
-        slack = [U[r] * q + V[r] * p for r in rows]
-        if slack and min(slack) < 0:
-            continue
+    for e, slack in feasible:
         mask = 0
         for r, s in zip(rows, slack):
             if not s:
@@ -249,38 +265,40 @@ def is_feasible(system):
                                          system.b)))
 
 
-def _is_bounded(table):
-    """Is the nonempty pointed region {A x >= b} with vertex table `table`
-    bounded?
+def _is_bounded(table, eps=0, keep=-1):
+    """Is the region of the rows of keep (a mask, all rows by default) of
+    the system with vertex table `table`, at eps, bounded?  The answer is
+    exact when the region is empty or pointed; with no feasible entry whose
+    basis lies inside keep it is True.
 
     It is unbounded iff it has an unbounded edge v + t d.  At v some
     feasible basis B holds n - 1 independent rows tight on the edge and one
     more row j tight at v, and d is a positive multiple of the column d_j of
-    A_B^-1 that belongs to row j (Schrijver 1986, ch. 8).  So the region is
-    bounded iff no such d_j, over the feasible entries B, has A d_j >= 0.
+    A_B^-1 that belongs to row j (Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 8).  So the region is bounded iff no such d_j,
+    over the feasible entries B, has A_r d_j >= 0 on every kept row r.
     The table already holds those products by Cramer's rule: for a row r
     outside B, A_r d_j = det(A_B with row j replaced by A_r) / det A_B, and
     that numerator is the signed determinant of the entry for B - j + r
     times (-1)^(p - q), p the position of j in B and q that of r in
     B - j + r; an absent entry is a singular subsystem, of determinant 0.
-    Every feasible entry is read, not one per vertex as `feasible_at` keeps:
-    at a degenerate vertex that one can miss the edge.
+    The directions d_j do not depend on eps, only which bases are feasible
+    does.  Every feasible entry is read, not one per vertex as `feasible_at`
+    keeps: at a degenerate vertex that one can miss the edge.
     """
+    rows, feasible = _feasible(table, eps, keep)
     det = {e.basis: e.sign * e.den for e in table}
-    m = len(table[0].U)
-    for e in table:
-        if min(e.U) < 0:
-            continue
+    for e, _ in feasible:
         B = e.basis
-        outside = [r for r in range(m) if not B >> r & 1]
-        for p, j in enumerate(sorted(rows_of(B))):
+        outside = [r for r in rows if not B >> r & 1]
+        for i, j in enumerate(sorted(rows_of(B))):
             rest = B & ~(1 << j)
             for r in outside:
-                q = (rest & ((1 << r) - 1)).bit_count()
-                if det.get(rest | 1 << r, 0) * e.sign * (-1) ** (p + q) < 0:
+                k = (rest & ((1 << r) - 1)).bit_count()
+                if det.get(rest | 1 << r, 0) * e.sign * (-1) ** (i + k) < 0:
                     break
             else:
-                return False    # A d_j >= 0: an unbounded edge
+                return False    # A d_j >= 0 on the kept rows: an unbounded edge
     return True
 
 
@@ -315,56 +333,36 @@ def polytope_dim(system):
     return system.dim - rank([system.A[r] for r in rows_of(reduce(and_, found))])
 
 
-def margin_table(A, B, C=None, strict=None):
-    """Vertex table of the margin system of {A x >= B + eps C}:
-    {A_r x - t >= B_r + eps C_r on the strict rows, the other rows weak,
-    -t >= -1}, the variable t last.  strict is a row mask, all rows by
-    default."""
-    n = len(A[0])
-    strict = -1 if strict is None else strict
-    rows = [tuple(a) + (-(strict >> r & 1),) for r, a in enumerate(A)]
-    return vertex_table(rows + [(0,) * n + (-1,)], tuple(B) + (-1,),
-                        None if C is None else tuple(C) + (0,))
+def row_is_redundant(table, r, keep, eps=0):
+    """Is row r redundant among the rows of keep (a mask) of
+    {A x >= B + eps C}, given the vertex table of that system?
 
-
-def margin_at(table, eps=0):
-    """Exact max t of a margin table at eps, None when it has no feasible
-    entry.  The strict rows hold strictly somewhere iff the value is > 0."""
-    eps = frac(eps)
-    p, q = eps.numerator, eps.denominator
-    best = None
-    for e in feasible_at(table, eps).values():
-        t = (e.P[-1] * q + e.Q[-1] * p, e.den)
-        if best is None or t[0] * best[1] > best[0] * t[1]:
-            best = t
-    return None if best is None else Fraction(best[0], best[1] * q)
-
-
-def row_is_redundant(A, table, r, keep, eps=0, escapes=None):
-    """Is row r redundant among the rows of keep (a mask) of {A x >= B + eps C},
-    given the vertex table of that system?
-
-    Yes when its slack cannot escape to -infinity, that is when
-    {A_i d >= 0 for the other kept rows, -A_r d >= 1} has no basic feasible
-    point, and every feasible vertex of the other kept rows satisfies row r.
-    Exact when the kept rows have full column rank.  The escape test does
-    not depend on eps; a caller may pass a dict `escapes` that keeps its
-    answers by (r, keep).
+    The region of the kept rows must be bounded.  Then row r is redundant
+    iff the region of the other kept rows is bounded too, as read by
+    `_is_bounded`, and every one of its vertices satisfies row r, since a
+    polytope is the convex hull of its vertices (Ziegler, Lectures on
+    Polytopes, 1995, ch. 2; Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 8).  A row whose removal leaves an empty region,
+    or one with no vertex, is reported as not redundant.
     """
     rest = keep & ~(1 << r)
-    escapes = {} if escapes is None else escapes
-    key = (r, keep)
-    if key not in escapes:
-        rows = [A[i] for i in sorted(rows_of(rest))] + [tuple(-v for v in A[r])]
-        rhs = [0] * (len(rows) - 1) + [1]
-        escapes[key] = bool(feasible_at(vertex_table(rows, rhs)))
-    if escapes[key]:
-        return False
     eps = frac(eps)
     p, q = eps.numerator, eps.denominator
     found = feasible_at(table, eps, rest)
-    return bool(found) and all(e.U[r] * q + e.V[r] * p >= 0
-                               for e in found.values())
+    return (bool(found) and all(e.U[r] * q + e.V[r] * p >= 0 for e in found.values())
+            and _is_bounded(table, eps, rest))
+
+
+def has_interior(found, rows=-1):
+    """Do the rows of a mask (all rows by default) hold strictly at some
+    point of a polytope, given its vertices as {active row mask: entry}?
+
+    Yes iff the polytope is nonempty and none of those rows is tight on all
+    of its vertices: a polytope is the convex hull of its vertices, and the
+    mean of one point strict on each row is strict on all of them (Ziegler,
+    Lectures on Polytopes, 1995, ch. 2).  Exact only for a bounded region.
+    """
+    return bool(found) and not reduce(and_, found, rows)
 
 
 def closure_masks(masks):
@@ -438,7 +436,7 @@ def redundant_rows(system):
     if m == 1:
         return set()
     full = (1 << m) - 1
-    return {r for r in range(m) if row_is_redundant(system.A, table, r, full)}
+    return {r for r in range(m) if row_is_redundant(table, r, full)}
 
 
 def lattice_points(system):

@@ -8,26 +8,48 @@ weight space.  A dominant wall for alpha in R is the locus where the coroot
 pairing vanishes; on Q this reads sigma(alpha) . chi = -<alpha^vee, v0>.
 
 Every question here is read off the vertex table of `polyhedra`, so Q~ is
-taken to be a polytope: admissibility from the vertices of Q~ and the
-margin table of Q~ with its walls, orbit data from the vertices on a face,
-and transport from the table of the target with the imposed equalities.
+taken to be a polytope: admissibility from the one table of Q~ with its
+walls, orbit data from the vertices on a face, and transport from the
+table of the target with the imposed equalities.  Which walls hold at a
+vertex is an integer test on its table entry.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, mul
 
-from .errors import EmptyFace, IncompatibleQuadruples, UnboundedPolyhedron
+from .errors import EmptyFace, IncompatibleQuadruples
 from .horo import sigma
-from .linalg import affine_dim, dot, frac
-from .polyhedra import (InequalitySystem, basic_points, face_of, feasible_at,
-                        graded_faces, margin_at, margin_table, rows_of,
-                        vertex_masks, vertex_table, vertices)
+from .linalg import affine_dim, dot, frac, rank
+from .polyhedra import (InequalitySystem, _is_bounded, face_of, feasible_at,
+                        graded_faces, has_interior, is_feasible, mask_of,
+                        rows_of, vertex_masks, vertex_table)
 from .rootdata import coroot_pairing, flag_dimension
 
 
-def _wall(hs, v0, alpha):
-    """(row, rhs) with the wall of alpha reading row . chi = rhs on Q~."""
-    row = tuple(frac(v) for v in sigma(hs, alpha))
-    return row, -coroot_pairing(hs.G, alpha, v0)
+def wall_rows(hs, v0):
+    """[(alpha, row, rhs)] over the colors alpha, sorted: the wall of alpha
+    reads row . chi = rhs on Q~, with the integer row sigma(alpha) and
+    rhs = -<alpha^vee, v0>."""
+    return [(alpha, sigma(hs, alpha), -coroot_pairing(hs.G, alpha, v0))
+            for alpha in sorted(hs.R)]
+
+
+def vertex_walls(walls, found, eps=0):
+    """{active row mask: the colors whose wall holds at that vertex} for the
+    vertices `found` ({active row mask: table entry}) of Q~ at eps, walls
+    as `wall_rows` gives them.  At eps = p/q an entry's vertex is
+    (P q + Q p) / (den q), so a wall is one integer dot product and one
+    cross-multiplication with its right-hand side."""
+    eps = frac(eps)
+    p, q = eps.numerator, eps.denominator
+    out = {}
+    for mask, e in found.items():
+        x = [a * q + b * p for a, b in zip(e.P, e.Q)]
+        d = e.den * q
+        out[mask] = frozenset([alpha for alpha, row, rhs in walls
+                               if sum(map(mul, row, x)) * rhs.denominator == rhs.numerator * d])
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,32 +67,42 @@ class AdmissibleQuadruple:
 
     def wall_functional(self, alpha):
         """(row, rhs) with the wall condition row . chi = rhs on Q~."""
-        return _wall(self.hs, self.v0, alpha)
+        return sigma(self.hs, alpha), -coroot_pairing(self.hs.G, alpha, self.v0)
 
 
 def is_admissible(q):
     """(ok, violated clauses) for the admissibility conditions, all read off
-    the vertices of Q~."""
-    try:
-        verts = vertices(q.qtilde)
-    except UnboundedPolyhedron:
-        return False, ["pseudo-moment polytope is unbounded"]
-    if not verts:
+    one vertex table: that of Q~ plus its wall rows.  Q~ must be a polytope.
+
+    Restricted to the rows of Q~ (`keep`), the table gives the vertices of
+    Q~ and its boundedness (`polyhedra._is_bounded`).  Q~ misses the
+    interior of the dominant cone iff the polytope Q~ cut by the walls'
+    half-spaces has no point strict on every wall: iff the whole table has
+    no feasible vertex, or some wall row is tight on all of them
+    (`polyhedra.has_interior`; Ziegler, Lectures on Polytopes, 1995,
+    ch. 2), the same rule as `MMPFamily.admissible`.
+    """
+    walls = wall_rows(q.hs, q.v0)
+    m = len(q.qtilde.A)
+    keep = (1 << m) - 1
+    table = vertex_table(q.qtilde.A + tuple(row for _, row, _ in walls),
+                         q.qtilde.b + tuple(rhs for _, _, rhs in walls))
+    found = feasible_at(table, keep=keep)
+    if not found:
+        if rank(q.qtilde.A) < q.qtilde.dim and is_feasible(q.qtilde):
+            return False, ["pseudo-moment polytope is unbounded"]
         return False, ["polytope is empty"]
+    if not _is_bounded(table, keep=keep):
+        return False, ["pseudo-moment polytope is unbounded"]
+    verts = [e.point() for e in found.values()]
     bad = []
     if affine_dim(verts) != q.rank:
         bad.append("pseudo-moment polytope is not full-dimensional in M")
-    walls = [(alpha,) + q.wall_functional(alpha) for alpha in sorted(q.hs.R)]
     for alpha, row, rhs in walls:
         if min(dot(row, v) for v in verts) < rhs:
             bad.append(f"moment polytope leaves the dominant cone at {alpha}")
             break
-    # the rows of Q~ weak, the walls strict
-    m = len(q.qtilde.A)
-    A = q.qtilde.A + tuple(row for _, row, _ in walls)
-    B = q.qtilde.b + tuple(rhs for _, _, rhs in walls)
-    margin = margin_at(margin_table(A, B, strict=~((1 << m) - 1)))
-    if margin is None or margin <= 0:
+    if not has_interior(feasible_at(table), ~keep):
         bad.append("moment polytope misses the interior of the dominant cone")
     return not bad, bad
 
@@ -86,37 +118,37 @@ class OrbitInfo:
     walls: frozenset
 
 
-def face_orbit(hs, v0, points, dim):
-    """OrbitInfo of the face of Q~ (translated by v0) spanned by the points,
-    of dimension dim: the walls that contain them all, the surviving colors,
-    the face dimension and the orbit dimension dim G/P' + dim."""
-    walls = set()
-    for alpha in hs.R:
-        row, rhs = _wall(hs, v0, alpha)
-        if all(dot(row, pt) == rhs for pt in points):
-            walls.add(alpha)
-    r_set = hs.R - walls
+def face_orbit(hs, walls, sig, dim):
+    """OrbitInfo of the face of Q~ with signature sig (a row mask) and
+    dimension dim, given the walls through each vertex (`vertex_walls`):
+    the walls through all of the face's vertices, the surviving colors, the
+    face dimension and the orbit dimension dim G/P' + dim."""
+    on = reduce(and_, [w for mask, w in walls.items() if mask & sig == sig])
+    r_set = hs.R - on
     levi = {r for r in hs.G.nontrivial_roots() if r not in r_set}
-    return OrbitInfo(r_set, dim, flag_dimension(hs.G, levi) + dim, frozenset(walls))
+    return OrbitInfo(r_set, dim, flag_dimension(hs.G, levi) + dim, on)
 
 
 def orbit_of_face(q, active_rows):
     """Orbit data of the face on which the given rows are tight."""
     rows = frozenset(active_rows)
-    members = [pt for pt, act in basic_points(q.qtilde.A, q.qtilde.b) if act >= rows]
+    sig = mask_of(rows)
+    found = feasible_at(vertex_table(q.qtilde.A, q.qtilde.b))
+    members = [e.point() for mask, e in found.items() if mask & sig == sig]
     if not members:
         raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
-    return face_orbit(q.hs, q.v0, members, affine_dim(members))
+    return face_orbit(q.hs, vertex_walls(wall_rows(q.hs, q.v0), found), sig,
+                      affine_dim(members))
 
 
 def orbit_poset(q):
     """[(FaceSignature, OrbitInfo)] over all nonempty faces, closure order
     given by reverse inclusion of the active sets.  The faces, their
-    dimensions and the basic points of Q~ come from one vertex table."""
+    dimensions and the walls through each vertex come from one vertex
+    table."""
     found = vertex_masks(q.qtilde)[1]
-    points = [(e.point(), rows_of(mask)) for mask, e in found.items()]
-    return [(f, face_orbit(q.hs, q.v0,
-                           [pt for pt, act in points if act >= f.active_rows], f.dim))
+    walls = vertex_walls(wall_rows(q.hs, q.v0), found)
+    return [(f, face_orbit(q.hs, walls, mask_of(f.active_rows), f.dim))
             for f in graded_faces(found)]
 
 

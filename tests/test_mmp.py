@@ -5,7 +5,7 @@ import pytest
 
 import gridgen
 from horokit import classify as cl, divisor as dv, mmp, polyhedra as ph
-from horokit.errors import NotAmple, PreconditionViolated
+from horokit.errors import NotAmple, PreconditionViolated, UnboundedPolyhedron
 from horokit.rootdata import (GroupProduct, Root, SL, Spin, TORUS_FACTOR,
                               TRIVIAL_FACTOR)
 
@@ -65,6 +65,23 @@ def test_constant_family():
     assert all(v == 0 for v in fam.C) and all(v == 0 for v in fam.v1)
     cands, eps_max = mmp.critical_epsilons(fam)
     assert eps_max is None and cands == []
+
+
+def test_unbounded_family_is_rejected():
+    # the admissibility and redundancy rules read the family's one vertex
+    # table and are exact on bounded families only, which build_family
+    # always gives (D is ample); a hand-built unbounded family is refused
+    spec, X = x1(*CHAIN_012_COLORED)
+    tags = tuple(ph.gstable_tag(i) for i in range(3))
+    for A, B, C in (
+            # x >= 0, y >= eps, y >= x - 1: both vertices lie on y = eps,
+            # though the region has interior points at every eps
+            (((1, 0), (0, 1), (-1, 1)), (0, 0, -1), (0, 1, 0)),
+            # the strip 0 <= x <= 1 - eps, y >= 0
+            (((1, 0), (0, 1), (-1, 0)), (0, 0, -1), (0, 0, 1))):
+        fam = mmp.MMPFamily(X, A, B, C, tags, X.G.zero_weight(), X.G.zero_weight())
+        with pytest.raises(UnboundedPolyhedron):
+            mmp.critical_epsilons(fam)
 
 
 def test_critical_epsilons_examples():
@@ -221,13 +238,15 @@ def test_parametric_path_matches_static_path():
             S = fam.system_at(eps)
             assert fam.signatures_at(eps, prune=False) == \
                 frozenset(f.active_rows for f in ph.face_lattice(S))
-            assert fam.points_at(eps) == ph.basic_points(S.A, S.b)
+            found = ph.feasible_at(fam._vertices(), eps)
+            assert sorted((e.point(eps), ph.rows_of(mask)) for mask, e in found.items()) \
+                == ph.basic_points(S.A, S.b)
 
 
 def test_margin_admissibility_matches_quadruple_test():
-    # the family's margin test and quadruple.is_admissible decide the same
-    # question; compare them at eps = 0, each event, each midpoint and past
-    # the end, on every 20th spec of the acceptance grid
+    # the family's admissibility rule and quadruple.is_admissible decide
+    # the same question; compare them at eps = 0, each event, each midpoint
+    # and past the end, on every 20th spec of the acceptance grid
     import gridgen
     from horokit import quadruple as qd
     grid = gridgen.case1_grid() + gridgen.case2_grid()
@@ -252,8 +271,9 @@ def test_fan_geometry_work_counts(monkeypatch):
     # deterministic work counts, next to the wall-clock bounds of the
     # acceptance suite: a variety derives its fan skeleton once, not per
     # divisor, with one adjugate per maximal cone and no cone_contains call;
-    # a sweep of face queries computes one face lattice per chamber it hits
-    from horokit import horo
+    # a Log-MMP run builds one vertex table, the family's own; a sweep of
+    # face queries computes one face lattice per chamber it hits
+    from horokit import horo, quadruple as qd
     counts = {}
 
     def counted(name, fn):
@@ -266,12 +286,16 @@ def test_fan_geometry_work_counts(monkeypatch):
     monkeypatch.setattr(horo, "adjugate", counted("adjugate", horo.adjugate))
     monkeypatch.setattr(horo, "cone_contains", counted("contains", horo.cone_contains))
     monkeypatch.setattr(mmp, "closure_masks", counted("lattices", mmp.closure_masks))
+    tables = counted("tables", ph.vertex_table)
+    for module in (ph, mmp, qd):
+        monkeypatch.setattr(module, "vertex_table", tables)
 
     def work():
-        counts.update(rays=0, adjugate=0, contains=0, lattices=0)
+        counts.update(rays=0, adjugate=0, contains=0, lattices=0, tables=0)
         _, X = x1(*README_SPEC)
         built = dict(counts)
         trace = canonical_run(X)
+        run_tables = counts["tables"] - built["tables"]
         last = len(X.divisors) - 1
         D0, Dlast = X.boundary_divisor(0), X.boundary_divisor(last)
         assert dv.verify_nef_generators(X, D0, Dlast)
@@ -291,14 +315,15 @@ def test_fan_geometry_work_counts(monkeypatch):
         sweep = counts["lattices"] - before
         assert sweep == len(signs)
         maximal = sum(len(r) == X.rank for r in X.cone_rays())
-        return built, run, again, maximal, len(trace.intervals), sweep
+        return built, run, again, maximal, len(trace.intervals), sweep, run_tables
 
     first = work()
-    built, run, again, maximal, intervals, sweep = first
+    built, run, again, maximal, intervals, sweep, run_tables = first
     assert built["rays"] > 0 and run["rays"] == built["rays"], first
     assert run["adjugate"] == maximal == 3 and run["contains"] == built["contains"], first
     assert again == {"rays": 0, "adjugate": 0, "contains": 0}, first
     assert (intervals, sweep) == (3, 3), first
+    assert run_tables == 1, first
     assert work() == first
 
 
@@ -313,7 +338,7 @@ def test_chamber_memo_matches_recomputation():
     import copy
     rng = random.Random(23)
     grid = gridgen.case1_grid() + gridgen.case2_grid()
-    names = ("signature_masks_at", "signatures_at", "pruned_rows_at")
+    names = ("admissible", "signature_masks_at", "signatures_at", "pruned_rows_at")
     off_candidates = 0
     for spec in rng.sample(grid, 10):
         X = cl.build_x1(spec) if isinstance(spec, cl.X1Spec) else cl.build_x2(spec)

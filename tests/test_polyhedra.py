@@ -9,6 +9,8 @@ from horokit import linalg, lp, polyhedra as ph
 from horokit.errors import EmptyPolytope, UnboundedPolyhedron
 from horokit.linalg import affine_dim, det_int, int_rows
 
+from margin_reference import escape_row_is_redundant, margin_at, margin_table
+
 SIMPLEX2 = ph.InequalitySystem(((1, 0), (0, 1), (-1, -1)), (0, 0, -1))
 
 
@@ -96,10 +98,10 @@ def test_polytope_questions_read_one_vertex_table(monkeypatch):
             question(S)
             assert calls == {"table": 1, "affine_dim": 0, "echelon": ranks,
                              "bounded": 1}, (question, S)
-        # the system's table, then one escape table per row
+        # redundancy reads the system's table too, boundedness included
         calls.update(table=0)
         ph.redundant_rows(S)
-        assert calls["table"] == len(S.A) + 1, S
+        assert calls["table"] == 1, S
     assert ph.polytope_dim(PYRAMID) == 3 and len(ph.vertices(PYRAMID)) == 5
     assert sorted(f.dim for f in ph.face_lattice(PYRAMID)) == \
         [0] * 5 + [1] * 8 + [2] * 5 + [3]
@@ -326,3 +328,59 @@ def test_vertex_table_matches_per_subset_reference(case):
         V = tuple(sum(x * y for x, y in zip(a[r], Q)) - den * cs[r] for r in range(m))
         want.append((ph.mask_of(sub), den, P, Q, U, V, sign))
     assert [tuple(e) for e in ph.vertex_table(A, B, C)] == want
+
+
+# Row redundancy and strict feasibility read off the system's own vertex
+# table, against the kernels that build tables of their own auxiliary
+# systems (tests/margin_reference.py), on bounded parametric systems.
+
+@st.composite
+def _parametric_system(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    vec = st.tuples(*[entry] * n)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    box = units + [tuple(-x for x in e) for e in units]
+    rows = draw(st.lists(vec, max_size=6 - n))
+    for _ in range(draw(st.integers(0, 2))):
+        # a duplicate, a parallel or an opposite row, or a zero row
+        r = draw(st.sampled_from(rows + box))
+        k = draw(st.sampled_from((1, 2, F(1, 2), -1, 0)))
+        rows.insert(draw(st.integers(0, len(rows))), tuple(k * v for v in r))
+    rows += box
+    if draw(st.booleans()):
+        # degenerate: most rows through one point
+        p = draw(vec)
+        B = [sum(x * y for x, y in zip(r, p)) - draw(st.sampled_from((0, 0, 0, 1, 2)))
+             for r in rows]
+    else:
+        B = draw(st.lists(st.integers(-3, 2), min_size=len(rows), max_size=len(rows)))
+    C = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return rows, B, C, len(rows) - len(box)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_parametric_system(), st.data())
+def test_redundancy_and_interior_match_margin_reference(system, data):
+    A, B, C, free = system
+    m = len(A)
+    table = ph.vertex_table(A, B, C)
+    margins = margin_table(A, B, C)
+    roots = sorted({F(-u, v) for e in table for u, v in zip(e.U, e.V) if v})
+    probes = {F(0)} | set(roots) | {(a + b) / 2 for a, b in zip(roots, roots[1:])}
+    if roots:
+        probes |= {roots[0] - 1, roots[-1] + 1}
+    for eps in data.draw(st.lists(st.sampled_from(sorted(probes)), min_size=1,
+                                  max_size=4, unique=True)):
+        found = ph.feasible_at(table, eps)
+        margin = margin_at(margins, eps)
+        assert ph.has_interior(found) == (margin is not None and margin > 0), eps
+        strict = data.draw(st.integers(0, (1 << m) - 1))
+        margin = margin_at(margin_table(A, B, C, strict), eps)
+        assert ph.has_interior(found, strict) == (margin is not None and margin > 0), \
+            (eps, strict)
+        # the kept rows hold the box, so their region is bounded
+        keep = data.draw(st.integers(0, (1 << free) - 1)) | ((1 << m) - (1 << free))
+        for r in ph.rows_of(keep):
+            assert ph.row_is_redundant(table, r, keep, eps) == \
+                escape_row_is_redundant(A, table, r, keep, eps), (eps, keep, r)

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 from horokit import classify as cl, divisor as dv, quadruple as qd
 from horokit.errors import EmptyFace, IncompatibleQuadruples
@@ -7,6 +8,8 @@ from horokit.horo import HomSpaceData
 from horokit.polyhedra import InequalitySystem, gstable_tag
 from horokit.quadruple import COLLAPSED, AdmissibleQuadruple
 from horokit.rootdata import GroupProduct, Root, SL, TORUS_FACTOR, TRIVIAL_FACTOR
+
+from margin_reference import margin_is_admissible
 
 
 def segment_quadruples():
@@ -39,6 +42,24 @@ def test_is_admissible():
     half = InequalitySystem(((-1,),), (-2,))
     ok, bad = qd.is_admissible(AdmissibleQuadruple(q_x.hs, half, (F(2), F(2))))
     assert not ok and any("unbounded" in s for s in bad)
+
+
+def test_is_admissible_reads_one_vertex_table(monkeypatch):
+    # every clause reads the table of Q~ plus its walls, the vertex and
+    # boundedness clauses restricted to the rows of Q~
+    from horokit import polyhedra as ph
+    tables = []
+    table = ph.vertex_table
+    for module in (ph, qd):
+        monkeypatch.setattr(module, "vertex_table",
+                            lambda *args: tables.append(1) or table(*args))
+    q_x, q_xp = segment_quadruples()
+    q_wall = AdmissibleQuadruple(q_x.hs, q_x.qtilde, (F(0), F(2)))
+    half = AdmissibleQuadruple(q_x.hs, InequalitySystem(((-1,),), (-2,)), (F(2), F(2)))
+    for q in (q_x, q_xp, q_wall, half):
+        tables.clear()
+        qd.is_admissible(q)
+        assert len(tables) == 1, q
 
 
 def test_orbit_dictionary_segments():
@@ -167,3 +188,37 @@ def test_round_trip_ample_pair_is_admissible():
         # open orbit dimension equals dim G/P + n
         info = qd.orbit_of_face(AdmissibleQuadruple(X.hs, system, v0), set())
         assert info.dim == X.dim()
+
+
+# is_admissible reads the interior clause off the table of Q~ plus its
+# walls; the reference reads it off the margin table of the same system.
+
+@st.composite
+def _quadruple(draw):
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(entry, entry), max_size=4))
+    box = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    if draw(st.booleans()):
+        # an open box: one side left out
+        del box[draw(st.integers(0, 3))]
+    rows += box
+    if draw(st.booleans()):
+        # degenerate: most rows through one point
+        p = draw(st.tuples(entry, entry))
+        b = [r[0] * p[0] + r[1] * p[1] - draw(st.sampled_from((0, 0, 1, 2))) for r in rows]
+    else:
+        b = draw(st.lists(st.integers(-3, 2), min_size=len(rows), max_size=len(rows)))
+    v0 = draw(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=7, max_size=7))
+    return InequalitySystem(tuple(rows), tuple(b)), tuple(v0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_quadruple())
+def test_is_admissible_matches_margin_reference(case):
+    system, v0 = case
+    # the homogeneous data of the rank-two family one over SL6 x C* x SL2
+    G = GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2)))
+    hs = HomSpaceData(G, frozenset({Root(0, 3), Root(3, 1)}),
+                      ((0, 0, 1, 0, 0, 1, 0), (0, 0, 2, 0, 0, 0, 1)))
+    q = AdmissibleQuadruple(hs, system, v0)
+    assert qd.is_admissible(q) == margin_is_admissible(q)

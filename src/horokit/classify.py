@@ -10,12 +10,12 @@ Family one is the projectivized sum of weight modules w_{alpha_i} +
 (1+a_i) w_beta; family two replaces the beta line by a two-root tail.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (NotRestrictedForm, NotSmoothInput, RewriteDepthExceeded,
                      SpecInvariantViolated)
 from .horo import ColoredCone, ColoredFan, HomSpaceData, HoroVariety, sigma
+from .record import Record
 from .rootdata import (SL, GroupFactor, GroupProduct, Root, TORUS, TRIVIAL,
                        TRIVIAL_FACTOR, flag_dimension, is_smooth_quadruple,
                        levi_components, smooth_triple_class, simple_factor,
@@ -33,8 +33,7 @@ def _factor_dim(f):
     raise ValueError(f"factor {f} cannot enter a type-A merge")
 
 
-@dataclass(frozen=True)
-class X1Spec:
+class X1Spec(Record):
     G: GroupProduct
     beta: Root
     alphas: tuple
@@ -85,8 +84,7 @@ class X1Spec:
         return flag_dimension(self.G, levi) + self.n
 
 
-@dataclass(frozen=True)
-class X2Spec:
+class X2Spec(Record):
     G: GroupProduct
     alphas: tuple
     a: tuple
@@ -223,8 +221,7 @@ def build_x2(spec):
 # Restricted conditions
 
 
-@dataclass(frozen=True)
-class RCFail:
+class RCFail(Record):
     reason: str
 
     def __bool__(self):
@@ -323,16 +320,14 @@ def check_rc2(spec):
 # Normal forms
 
 
-@dataclass(frozen=True)
-class FlagLeaf:
+class FlagLeaf(Record):
     """Homogeneous flag variety of a simple factor and one root."""
 
     factor: GroupFactor
     beta: int
 
 
-@dataclass(frozen=True)
-class RankOneLeaf:
+class RankOneLeaf(Record):
     """Rank-one orbit closure on a pair of roots in one simple factor."""
 
     factor: GroupFactor
@@ -343,13 +338,11 @@ class RankOneLeaf:
         return smooth_triple_class(self.factor, self.gamma, self.delta)
 
 
-@dataclass(frozen=True)
-class ProjSpaceLeaf:
+class ProjSpaceLeaf(Record):
     dim: int
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     kind: str            # "x1" | "x2" | "product" | "case0"
     spec: object = None  # X1Spec / X2Spec for x1/x2
     rc: str = None
@@ -749,8 +742,7 @@ def _pq_dim(G, numerator, denominator):
     return flag_dimension(G, levi(denominator)) - flag_dimension(G, levi(numerator))
 
 
-@dataclass(frozen=True)
-class ExceptionalLocus:
+class ExceptionalLocus(Record):
     level: int
     face_index_set: tuple
     weights: tuple        # highest weights spanning the ambient module
@@ -843,8 +835,7 @@ def _subspec_x2(spec, i):
                   tuple(spec.a[:i + 1]))
 
 
-@dataclass(frozen=True)
-class FiberRow:
+class FiberRow(Record):
     level: int
     case: int                 # 1..4 for family one; 0 for family two
     base_orbits: tuple        # descriptions of the locally (almost) maximal loci
@@ -927,8 +918,7 @@ HOMOGENEOUS_NON_PS = "HomogeneousNonPS"
 TWO_ORBIT = "TwoOrbit"
 
 
-@dataclass(frozen=True)
-class PsiFibration:
+class PsiFibration(Record):
     target: str
     fiber_class: str
     fiber_dim: int

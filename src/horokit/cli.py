@@ -19,8 +19,12 @@ Root tokens are "(factor_index, aK)" with Bourbaki numbering, or
 "(factor_index, triv)" for the trivial root of a C*/{1} factor.  Unknown
 keys are rejected.  Exact rationals appear in outputs as "p/q" strings.
 
-Exit codes: 0 ok, 1 domain failure, 2 input error.  A field of the wrong
-type, or a document that does not describe a valid spec, is an input error.
+Exit codes: 0 ok, 1 domain failure, 2 input error.  A file that is not
+UTF-8 JSON, a field of the wrong type, a document that does not describe a
+valid spec, or an output path that cannot be written is an input error.
+
+Each command imports the modules it runs inside its own function, so that
+`check` does not pay for the Log-MMP engine or the reference tables.
 """
 
 import argparse
@@ -28,7 +32,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import classify, divisor, horo, mmp, reference_tables
+from . import classify, horo
 from .errors import HorokitError
 from .rootdata import parse_group, parse_root
 
@@ -79,13 +83,15 @@ _FIELD_TYPES = {
 
 def load_spec(path):
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise InputError(str(exc))
     with fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise InputError(f"not UTF-8 text: {exc}")
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("spec file must hold a JSON object")
@@ -162,6 +168,8 @@ def spec_to_doc(spec):
 
 
 def cmd_check(args):
+    from . import divisor
+
     spec = load_spec(args.file)
     X = build_variety(spec)
     issues = horo.validate_fan(X)
@@ -185,6 +193,8 @@ def cmd_check(args):
 
 
 def cmd_mmp(args):
+    from . import divisor, mmp
+
     spec = load_spec(args.file)
     if not isinstance(spec, (classify.X1Spec, classify.X2Spec)):
         raise InputError("the parametric run needs an x1 or x2 spec")
@@ -228,19 +238,17 @@ def cmd_mmp(args):
             samples.append(trace.eps_max)
         samples = sorted(set(samples))
         if fam.n <= 2:
-            with open(args.svg, "w") as fh:
-                fh.write(svg_render(fam, samples))
+            from .svgfig import render_family
+            _write(args.svg, render_family(fam, samples))
         else:
             print("svg output needs rank <= 2; skipped", file=sys.stderr)
     return 0
 
 
-def svg_render(fam, samples):
-    from .svgfig import render_family
-    return render_family(fam, samples)
-
-
 def cmd_appendix(args):
+    from . import reference_tables
+    from .rootdata import enumerate_smooth_quadruples
+
     families = [args.family] if args.family else ["A", "B", "C", "D", "E", "F", "G"]
     bounds = {"A": (1, 99), "B": (3, 99), "C": (2, 99), "D": (4, 99),
               "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -249,7 +257,6 @@ def cmd_appendix(args):
         lo, hi = bounds[fam]
         for m in range(lo, min(hi, args.max_rank) + 1):
             for n_flag in (1, 2):
-                from .rootdata import enumerate_smooth_quadruples
                 entries = enumerate_smooth_quadruples(fam, m, n_flag)
                 print(f"{fam}{m} n{'=1' if n_flag == 1 else '>=2'}: "
                       f"{len(entries)} classes")
@@ -279,10 +286,18 @@ def cmd_normalize(args):
 def _emit(doc, path):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, text + "\n")
     else:
         print(text)
+
+
+def _write(path, text):
+    """An output file that cannot be written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc))
 
 
 def main(argv=None):

@@ -15,7 +15,6 @@ colors off the fan as in Pasquier's criterion for horospherical varieties,
 2008).  Both need a complete simplicial fan.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -24,14 +23,14 @@ from . import rootdata
 from .errors import AssertionBZeta, NotCartier, NotQCartier
 from .linalg import frac
 from .polyhedra import InequalitySystem, color_tag, gstable_tag, lattice_points
+from .record import Record, factory
 
 AMPLE = "Ample"
 GG_NOT_AMPLE = "GloballyGeneratedNotAmple"
 NEITHER = "Neither"
 
 
-@dataclass(frozen=True)
-class BStableDivisor:
+class BStableDivisor(Record):
     """Coefficients on G-stable edges (by primitive ray) and on colors."""
 
     gstable: dict
@@ -75,13 +74,12 @@ class BStableDivisor:
             all(v.denominator == 1 for v in self.colors.values())
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(Record):
     """One linear form per maximal cone, keyed by the cone's sorted rays."""
 
     pieces: dict
     cartier: bool
-    ray_values: dict = field(default_factory=dict)
+    ray_values: dict = factory(dict)
 
 
 def _numerators(D, descs):

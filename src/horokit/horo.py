@@ -11,22 +11,21 @@ extreme rays, pointedness, faces, overlaps) is answered by one exact kernel,
 `cone_contains`, with no LP.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 from math import gcd
-from typing import NamedTuple
 
 from . import rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
 from .linalg import (adjugate, det_int, echelon, int_rank, is_zero, primitive, rank,
                      solve)
+from .record import Record, set_field
 from .rootdata import GroupProduct, Root, coroot_pairing, flag_dimension
 
 
-@dataclass(frozen=True)
-class HomSpaceData:
+class HomSpaceData(Record):
     """The pair (P, M): colors R and an integer basis of M in X(P)."""
 
     G: GroupProduct
@@ -70,23 +69,20 @@ def sigma(hs, alpha):
     return tuple(int(coroot_pairing(hs.G, alpha, m)) for m in hs.M_basis)
 
 
-@dataclass(frozen=True)
-class ColoredCone:
+class ColoredCone(Record):
     generators: tuple
     colors: frozenset = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators",
-                           tuple(tuple(int(v) for v in g) for g in self.generators))
-        object.__setattr__(self, "colors", frozenset(self.colors))
+    def __init__(self, generators, colors=frozenset()):   # hot: see horokit.record
+        set_field(self, "generators", tuple(tuple(int(v) for v in g) for g in generators))
+        set_field(self, "colors", frozenset(colors))
 
     @property
     def dim(self):
         return rank(self.generators)
 
 
-@dataclass(frozen=True)
-class ColoredFan:
+class ColoredFan(Record):
     cones: tuple
 
     def __post_init__(self):
@@ -317,16 +313,11 @@ def _relints_meet(c1, rays1, c2, rays2):
 # The bundled variety object used by the divisor / mmp layers
 
 
-class ConeBasis(NamedTuple):
-    """n independent support points of a maximal cone, by index, with the
-    determinant and adjugate of the matrix whose rows they are, and each
-    other support point inside the cone with its coordinates mu in that
-    basis (p = sum mu_i s_i / det)."""
-
-    basis: tuple
-    det: int
-    adj: tuple
-    checks: tuple
+ConeBasis = namedtuple("ConeBasis", "basis det adj checks")
+ConeBasis.__doc__ = """n independent support points of a maximal cone, by
+index, with the determinant and adjugate of the matrix whose rows they are,
+and each other support point inside the cone with its coordinates mu in that
+basis (p = sum mu_i s_i / det)."""
 
 
 def _coords(adj, p):
@@ -574,20 +565,17 @@ class HoroVariety:
 # Shape detection (rank two)
 
 
-@dataclass(frozen=True)
-class Case0:
+class Case0(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Case1Shape:
+class Case1Shape(Record):
     basis: tuple   # rays e_0, ..., e_n
     a: tuple       # 0 <= a_1 <= ... <= a_n
     beta: Root
 
 
-@dataclass(frozen=True)
-class Case2Shape:
+class Case2Shape(Record):
     r: int
     s: int
     u: tuple       # rays u_0, ..., u_r
@@ -595,8 +583,7 @@ class Case2Shape:
     a: tuple       # 0 <= a_1 <= ... <= a_r
 
 
-@dataclass(frozen=True)
-class OtherShape:
+class OtherShape(Record):
     reason: str
 
 

@@ -27,7 +27,6 @@ roots.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
@@ -40,14 +39,14 @@ from .polyhedra import (InequalitySystem, _is_bounded, closure_masks, face_of,
                         feasible_at, has_interior, mask_of, row_is_redundant,
                         rows_of, vertex_table)
 from .quadruple import AdmissibleQuadruple, face_orbit, vertex_walls, wall_rows
+from .record import Record
 
 FLIP = "Flip"
 DIVISORIAL = "DivisorialContraction"
 FIBRATION = "Fibration"
 
 
-@dataclass(frozen=True)
-class FiberRecord:
+class FiberRecord(Record):
     dim: int
     rank: int
     source_sig: frozenset
@@ -56,8 +55,7 @@ class FiberRecord:
     denominator_colors: frozenset = None
 
 
-@dataclass(frozen=True)
-class ContractionEvent:
+class ContractionEvent(Record):
     epsilon: Fraction
     kind: str
     pruned_rows: frozenset = frozenset()
@@ -65,8 +63,7 @@ class ContractionEvent:
     fiber: FiberRecord = None
 
 
-@dataclass(frozen=True)
-class MMPTrace:
+class MMPTrace(Record):
     intervals: tuple      # (lo, hi, signature set); lo included, hi excluded
     events: tuple
     eps_max: Fraction     # None when the family never degenerates
@@ -418,8 +415,7 @@ def faces_case2(r, a, eps):
     return out
 
 
-@dataclass(frozen=True)
-class TraceSkeleton:
+class TraceSkeleton(Record):
     events: tuple       # ((eps, kind), ...), fibration included
     eps_max: Fraction
 

@@ -33,14 +33,14 @@ polytopes: an unbounded region raises UnboundedPolyhedron.  Everything stays
 in exact arithmetic.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
-from typing import NamedTuple
 
 from .errors import EmptyPolytope, UnboundedPolyhedron
 from .linalg import echelon, frac, int_rows, rank
+from .record import Record, set_field
 
 GSTABLE = "x"
 COLOR = "color"
@@ -59,8 +59,7 @@ def plumbing_tag(key):
     return (PLUMBING, key)
 
 
-@dataclass(frozen=True)
-class InequalitySystem:
+class InequalitySystem(Record):
     """Constraint rows A x >= b with one tag per row."""
 
     A: tuple
@@ -92,29 +91,29 @@ class InequalitySystem:
                                 tuple(self.tags[i] for i in keep))
 
 
-@dataclass(frozen=True)
-class FaceSignature:
+class FaceSignature(Record):
     """Maximal set of rows tight on a face, plus the face dimension."""
 
     active_rows: frozenset
     dim: int
 
+    def __init__(self, active_rows, dim):   # hot: see horokit.record
+        set_field(self, "active_rows", active_rows)
+        set_field(self, "dim", dim)
 
-class BasicSolution(NamedTuple):
+
+class BasicSolution(namedtuple("BasicSolution", "basis den P Q U V sign")):
     """One invertible square subsystem of A x >= B + eps C, fraction-free.
 
-    Its point is (P + eps Q) / den, and row r has slack (U[r] + eps V[r]) / den
-    there, on the row scaled to integers.  As den > 0, the sign of that slack
-    at eps = p/q (q > 0) is the sign of the integer U[r] q + V[r] p.
+    basis is the mask of the rows of the subsystem, den is |det A_B| on the
+    rows scaled to integers, and sign is the sign of det A_B, rows in
+    increasing order.  Its point is (P + eps Q) / den, and row r has slack
+    (U[r] + eps V[r]) / den there, on the row scaled to integers.  As den > 0,
+    the sign of that slack at eps = p/q (q > 0) is the sign of the integer
+    U[r] q + V[r] p.
     """
 
-    basis: int      # mask of the rows of the subsystem
-    den: int        # |det A_B| on the rows scaled to integers
-    P: tuple
-    Q: tuple
-    U: tuple
-    V: tuple
-    sign: int       # the sign of det A_B, rows in increasing order
+    __slots__ = ()
 
     def point(self, eps=0):
         eps = frac(eps)

@@ -14,7 +14,6 @@ table of the target with the imposed equalities.  Which walls hold at a
 vertex is an integer test on its table entry.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, mul
 
@@ -24,6 +23,7 @@ from .linalg import affine_dim, dot, frac, rank
 from .polyhedra import (InequalitySystem, _is_bounded, face_of, feasible_at,
                         graded_faces, has_interior, is_feasible, mask_of,
                         rows_of, vertex_masks, vertex_table)
+from .record import Record
 from .rootdata import coroot_pairing, flag_dimension
 
 
@@ -52,8 +52,7 @@ def vertex_walls(walls, found, eps=0):
     return out
 
 
-@dataclass(frozen=True)
-class AdmissibleQuadruple:
+class AdmissibleQuadruple(Record):
     hs: object
     qtilde: InequalitySystem
     v0: tuple
@@ -107,8 +106,7 @@ def is_admissible(q):
     return not bad, bad
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(Record):
     """One orbit: the enlarged parabolic is recorded by the color set that
     survives (walls containing the face are absorbed into the parabolic)."""
 

@@ -15,12 +15,12 @@ Conventions, fixed once:
 * B2 and D3 are stored in canonical form (C2 and A3).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import TrivialRootHasNoCoroot
+from .record import Record, set_field
 
 TORUS = "C*"
 TRIVIAL = "1"
@@ -30,8 +30,7 @@ _RANK_BOUNDS = {"A": (1, None), "B": (3, None), "C": (2, None), "D": (4, None),
                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-@dataclass(frozen=True, order=True)
-class GroupFactor:
+class GroupFactor(Record, order=True):
     """One factor of the acting group: a simple type, C*, or {1}."""
 
     family: str
@@ -105,20 +104,37 @@ TORUS_FACTOR = GroupFactor(TORUS)
 TRIVIAL_FACTOR = GroupFactor(TRIVIAL)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(Record, order=True):
     """Simple root id: (factor position, Bourbaki index); index 0 is the
     trivial root of a C* or {1} factor."""
 
     factor: int
     index: int
 
+    # Written out: a Log-MMP run hashes, compares and sorts roots thousands
+    # of times, and these read the two fields faster than Record's getter.
+    def __init__(self, factor, index):
+        set_field(self, "factor", factor)
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factor, self.index) == (other.factor, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factor, self.index))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factor, self.index) < (other.factor, other.index)
+        return NotImplemented
+
     def __repr__(self):
         return f"({self.factor},{'triv' if self.index == 0 else 'a%d' % self.index})"
 
 
-@dataclass(frozen=True)
-class GroupProduct:
+class GroupProduct(Record):
     factors: tuple
 
     def __post_init__(self):
@@ -346,8 +362,7 @@ def color_coefficient(G, R, alpha):
 # Dynkin subdiagrams
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """Connected component of an induced subdiagram, classified.
 
     members are in the internal Bourbaki order of the component's type;

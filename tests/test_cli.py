@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import horokit
 from horokit import cli
 
 
@@ -20,6 +22,17 @@ W3 = {"group": "A2 x 1 x C* x C*", "kind": "x1", "beta": "(0,a1)",
 FAN_A1 = {"group": "A1 x C* x C*", "kind": "fan",
           "m_basis": [[0, 1, 0], [0, 0, 1]], "colors": [],
           "cones": [{"generators": [[1, 0]], "colors": []}]}
+
+
+# a fan with a line, and a fan with a non-simplicial cone
+FAN_LINE = FAN_A1 | {"cones": [{"generators": g, "colors": []} for g in
+                               [[], [[1, 0], [-1, 0]], [[1, 0]], [[-1, 0]]]]}
+_APEX = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+FAN_PYRAMID = {"group": "A1 x C* x C* x C*", "kind": "fan",
+               "m_basis": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "colors": [],
+               "cones": [{"generators": g, "colors": []} for g in
+                         [[], _APEX] + [[r] for r in _APEX] +
+                         [[_APEX[k - 1], _APEX[k]] for k in range(4)]]}
 
 
 def test_cmd_check_w3(tmp_path):
@@ -44,13 +57,16 @@ def test_cmd_check_case0(tmp_path):
     assert json.loads(out.read_text())["picard_rank"] == 2
 
 
-def test_malformed_json_exits_2(tmp_path):
-    f = tmp_path / "bad.json"
-    f.write_text("{not json")
-    assert cli.main(["check", str(f)]) == 2
-    f2 = tmp_path / "extra.json"
-    f2.write_text(json.dumps(W3 | {"surprise": 1}))
-    assert cli.main(["check", str(f2)]) == 2
+def test_malformed_json_exits_2(tmp_path, capsys):
+    # not JSON, an unknown key, nesting deeper than the decoder recurses
+    # (a RecursionError traceback once), and bytes that are not UTF-8 (a
+    # domain failure once)
+    for i, data in enumerate((b"{not json", json.dumps(W3 | {"surprise": 1}).encode(),
+                              b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe\x00")):
+        f = tmp_path / f"bad{i}.json"
+        f.write_bytes(data)
+        assert cli.main(["check", str(f)]) == 2, data[:10]
+        assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_cmd_mmp_trace_and_svg(tmp_path):
@@ -130,6 +146,21 @@ def test_wrong_field_types_exit_2(tmp_path):
         assert cli.main(["check", str(f)]) == 2, name
 
 
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    # each of these once exited 1 with a FileNotFoundError traceback
+    f = tmp_path / "w3.json"
+    f.write_text(json.dumps(W3))
+    nowhere = str(tmp_path / "missing" / "out")
+    for args in (["check", str(f), "--json", nowhere],
+                 ["mmp", str(f), "--json", nowhere],
+                 ["mmp", str(f), "--svg", nowhere],
+                 ["normalize", str(f), "--json", nowhere]):
+        assert cli.main(args) == 2, args
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: "), (args, err)
+        assert nowhere in err[0]
+
+
 def test_subprocess_entry_point(tmp_path):
     f = tmp_path / "w3.json"
     f.write_text(json.dumps(W3))
@@ -142,17 +173,9 @@ def test_program_paths_do_not_import_lp(tmp_path):
     # the simplex of horokit.lp is the tests' reference: check and mmp on
     # the README spec, and check on a fan with a line and on a fan with a
     # non-simplicial cone, run in a fresh interpreter without importing it
-    r3 = {"group": "A1 x C* x C* x C*", "kind": "fan",
-          "m_basis": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "colors": []}
-    apex = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
-    pyramid = r3 | {"cones": [{"generators": g, "colors": []} for g in
-                              [[], apex] + [[r] for r in apex] +
-                              [[apex[k - 1], apex[k]] for k in range(4)]]}
-    line = FAN_A1 | {"cones": [{"generators": g, "colors": []} for g in
-                               [[], [[1, 0], [-1, 0]], [[1, 0]], [[-1, 0]]]]}
     runs = []
-    for name, doc, cmds in (("w3", W3, ("check", "mmp")), ("line", line, ("check",)),
-                            ("pyramid", pyramid, ("check",))):
+    for name, doc, cmds in (("w3", W3, ("check", "mmp")), ("line", FAN_LINE, ("check",)),
+                            ("pyramid", FAN_PYRAMID, ("check",))):
         f = tmp_path / f"{name}.json"
         f.write_text(json.dumps(doc))
         runs += [[cmd, str(f)] for cmd in cmds]
@@ -161,6 +184,48 @@ def test_program_paths_do_not_import_lp(tmp_path):
             "print(json.dumps([codes, 'horokit.lp' in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 1, 1], False], proc.stderr
+
+
+# One fresh interpreter per command: the horokit modules it loads, and
+# whether it loads dataclasses or typing.  -S keeps site hooks from loading
+# a module.
+_PROBE = """import json, sys
+from horokit import cli
+argv = json.loads(sys.argv[1])
+code = cli.main(argv) if argv else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("horokit.")),
+                  sorted({"dataclasses", "typing"} & set(sys.modules))]))
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    src = os.path.dirname(os.path.dirname(horokit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    files = {}
+    for name, doc in (("w3", W3), ("fan", FAN_A1), ("line", FAN_LINE),
+                      ("pyramid", FAN_PYRAMID)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, json.dumps(argv)],
+                              env=env, capture_output=True, text=True)
+        code, modules, stdlib = json.loads(proc.stdout.splitlines()[-1])
+        assert stdlib == [], argv
+        return code, set(modules)
+
+    unused = {"horokit.mmp", "horokit.quadruple", "horokit.reference_tables",
+              "horokit.lp"}
+    code, modules = loaded()
+    assert code is None and not modules & unused
+    for name, want in (("w3", 0), ("fan", 1), ("line", 1), ("pyramid", 1)):
+        code, modules = loaded("check", str(files[name]))
+        assert code == want and not modules & unused, (name, modules)
+    code, modules = loaded("mmp", str(files["w3"]))
+    assert code == 0 and "horokit.mmp" in modules
+    assert not modules & {"horokit.reference_tables", "horokit.lp"}
+    assert loaded("normalize", str(files["w3"]))[0] == 0
+    assert loaded("appendix", "--family", "G", "--max-rank", "2")[0] == 0
 
 
 # Fuzzing the exit-code contract on mutated copies of W3 and FAN_A1: each

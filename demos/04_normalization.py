@@ -8,7 +8,7 @@ acting groups, and the second family converts to the first when its tail
 pair is split or smooth of homogeneous type.  Products split off.
 """
 
-from horokit import classify as cl
+from horokit import classify as cl, normalform as nform
 from horokit.rootdata import (GroupFactor, GroupProduct, Root, SL, Sp, Spin,
                               TORUS_FACTOR, TRIVIAL_FACTOR)
 
@@ -32,7 +32,7 @@ fixtures = {
 }
 
 for label, raw in fixtures.items():
-    nf = cl.normalize(raw)
+    nf = nform.normalize(raw)
     print(f"== {label} ==")
     print("raw group:   ", raw.G)
     print("normal form: ", nf.kind, " rc =", nf.rc)
@@ -45,7 +45,7 @@ for label, raw in fixtures.items():
     print()
 
 print("== product detection ==")
-prod = cl.normalize(cl.X1Spec(GroupProduct((SL(4), SL(2), SL(3))),
+prod = nform.normalize(cl.X1Spec(GroupProduct((SL(4), SL(2), SL(3))),
                               Root(0, 2), (Root(1, 1), Root(2, 1)), (0, 0)))
 print("kind:", prod.kind)
 for part in prod.parts:

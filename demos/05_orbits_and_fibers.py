@@ -9,7 +9,7 @@ orbit images, and the contraction chain carries exact fiber dimensions.
 
 from fractions import Fraction as F
 
-from horokit import classify as cl, divisor as dv, quadruple as qd
+from horokit import classify as cl, divisor as dv, normalform as nform, quadruple as qd
 from horokit.horo import HomSpaceData
 from horokit.polyhedra import InequalitySystem, gstable_tag
 from horokit.quadruple import AdmissibleQuadruple
@@ -39,12 +39,12 @@ print("\n== fiber dimension tables ==")
 spec = cl.X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2))),
                  Root(0, 3), (Root(1, 0), Root(2, 0), Root(3, 1)), (0, 1, 2))
 print("spec dim:", spec.dim())
-for locus in cl.exceptional_loci(spec):
+for locus in nform.exceptional_loci(spec):
     print(f"E_{locus.level}: rank {locus.rank}, dim {locus.dim}, "
           f"{len(locus.weights)} weight lines")
-for row in cl.fiber_dimension_table(spec):
+for row in nform.fiber_dimension_table(spec):
     print(f"level {row.level} (case {row.case}): fibers {row.fiber_dims} "
           f"over {row.base_orbits}")
-psi = cl.psi_fibration(spec)
+psi = nform.psi_fibration(spec)
 print(f"first-program fibration: target {psi.target}, "
       f"fiber {psi.fiber_class} of dim {psi.fiber_dim}")

@@ -6,7 +6,8 @@ rootdata (Dynkin combinatorics and the smoothness predicates), horo
 (colored fans and the Luna-Vust checks), divisor (divisor criteria and
 moment polytopes), quadruple (the orbit/face dictionary), mmp (the
 parametric Log-MMP engine and its closed forms), classify (the two standard
-families, restricted conditions and the normalization rewrite system),
+families, their builders and restricted conditions), normalform (the
+normalization rewrite system, exceptional loci and fiber tables),
 reference_tables (the enumeration's reference list), svgfig (figures), cli
 (command-line driver).  lp (an exact simplex) is the tests' reference; no
 program module imports it.

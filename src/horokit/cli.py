@@ -22,6 +22,10 @@ keys are rejected.  Exact rationals appear in outputs as "p/q" strings.
 Exit codes: 0 ok, 1 domain failure, 2 input error.  A file that is not
 UTF-8 JSON, a field of the wrong type, a document that does not describe a
 valid spec, or an output path that cannot be written is an input error.
+A command whose reader closes standard output early (a broken pipe, as in
+`horokit appendix | head -1`) stops there and exits 1, with nothing on
+standard error.  `mmp --svg FIG` writes the figure before the report, so
+when FIG cannot be written no report is written either.
 
 Each command imports the modules it runs inside its own function, so that
 `check` does not pay for the Log-MMP engine or the reference tables.
@@ -29,6 +33,7 @@ Each command imports the modules it runs inside its own function, so that
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -225,7 +230,6 @@ def cmd_mmp(args):
              "num_faces": len(sigs)}
             for lo, hi, sigs in trace.intervals],
     }
-    _emit(doc, args.json)
     if args.svg:
         fam = trace.family
         samples = []
@@ -242,6 +246,7 @@ def cmd_mmp(args):
             _write(args.svg, render_family(fam, samples))
         else:
             print("svg output needs rank <= 2; skipped", file=sys.stderr)
+    _emit(doc, args.json)
     return 0
 
 
@@ -271,10 +276,12 @@ def cmd_appendix(args):
 
 
 def cmd_normalize(args):
+    from .normalform import normalize
+
     spec = load_spec(args.file)
     if not isinstance(spec, (classify.X1Spec, classify.X2Spec)):
         raise InputError("normalize needs an x1 or x2 spec")
-    nf = classify.normalize(spec)
+    nf = normalize(spec)
     if nf.kind == "product":
         doc = {"kind": "product", "parts": [repr(p) for p in nf.parts]}
     else:
@@ -329,7 +336,14 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # exit has nowhere to fail (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -20,24 +20,31 @@ fails), row redundancy (`polyhedra.row_is_redundant`) and the fibers.
 
 The sorted roots of the family's slacks cut the eps line into chambers,
 each root one and each open interval between two consecutive roots one.
-Every slack keeps its sign on a chamber, so the face queries
-(`admissible`, `signature_masks_at`, `signatures_at`, `pruned_rows_at`) are
-answered once per chamber and then read back, keyed by bisecting the
-roots.
+Every slack keeps its sign on a chamber, so the signs are computed once
+per chamber (`polyhedra.slack_signs`), and every question at eps reads
+them: the face queries (`admissible`, `signature_masks_at`,
+`signatures_at`, `pruned_rows_at`), the face maps and the fibers.  The face
+queries are answered once per chamber and then read back.  A chamber is
+found by integer comparison: the roots are scaled once to one common
+denominator L, and eps = p/q falls at or between them as p L / q does.
+The boundedness of a row subset's region is asked only where that region
+has a vertex, and there it does not depend on eps (the recession cone does
+not), so it is kept once per row subset.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
+from math import lcm
 
 from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
                      NotRestrictedForm, PreconditionViolated, UnboundedPolyhedron)
 from .linalg import frac, rank
 from .polyhedra import (InequalitySystem, _is_bounded, closure_masks, face_of,
-                        feasible_at, has_interior, mask_of, row_is_redundant,
-                        rows_of, vertex_table)
+                        feasible_at, has_interior, row_is_redundant, rows_of,
+                        slack_signs, vertex_table)
 from .quadruple import AdmissibleQuadruple, face_orbit, vertex_walls, wall_rows
 from .record import Record
 
@@ -75,11 +82,11 @@ class MMPTrace(Record):
 
 
 def _per_chamber(method):
-    """Answer a face query once per chamber of eps (`MMPFamily.chamber`).
+    """Answer a query once per chamber of eps (`MMPFamily.chamber`).
 
-    The query reads only the signs of the slacks of the family's vertex
-    table at eps, through `feasible_at` and `row_is_redundant`, so its
-    answer is the same everywhere in a chamber.
+    The query is the signs of the slacks of the family's vertex table at
+    eps (`MMPFamily.signs_at`), or reads only them, so its answer is the
+    same everywhere in a chamber.
     """
     @wraps(method)
     def cached(self, eps, *args, **kwargs):
@@ -105,7 +112,9 @@ class MMPFamily:
         self.m = len(self.A)
         self._vertex_data = None
         self._roots = None
+        self._keys = None       # (L, the roots times L)
         self._chambers = {}
+        self._bounded = {}      # row mask -> is its region bounded
 
     # -- parametric vertex preprocessing -----------------------------------
 
@@ -127,38 +136,74 @@ class MMPFamily:
     def chamber(self, eps):
         """The chamber of eps, on which every slack of the vertex table keeps
         its sign: 2 i + 1 at the i-th root, 2 i on the open interval below
-        it."""
-        roots = self.roots()
-        i = bisect_left(roots, eps)
-        return 2 * i + (i < len(roots) and roots[i] == eps)
+        it.  With the roots as integers over one denominator L, eps = p/q
+        is compared by the floor of p L / q and its remainder."""
+        if self._keys is None:
+            roots = self.roots()
+            L = lcm(*[r.denominator for r in roots])
+            self._keys = L, [r.numerator * (L // r.denominator) for r in roots]
+        L, keys = self._keys
+        t, rem = divmod(eps.numerator * L, eps.denominator)
+        if rem:
+            return 2 * bisect_right(keys, t)
+        i = bisect_left(keys, t)
+        return 2 * i + (i < len(keys) and keys[i] == t)
 
     @_per_chamber
-    def pruned_rows_at(self, eps):
-        """Redundant G-stable rows at eps, dropped greedily by index."""
-        full = (1 << self.m) - 1
-        keep = full
+    def signs_at(self, eps):
+        """The signs of the slacks of the vertex table at eps, as
+        `polyhedra.slack_signs` gives them."""
+        return slack_signs(self._vertices(), eps)
+
+    def _bounded_region(self, table, signs, keep):
+        """`polyhedra._is_bounded` for the family's table, kept per row mask.
+        Exact, as `row_is_redundant` asks it only where the region of keep
+        has a vertex, and there the answer does not depend on eps."""
+        if keep not in self._bounded:
+            self._bounded[keep] = _is_bounded(table, signs, keep)
+        return self._bounded[keep]
+
+    @_per_chamber
+    def _kept_rows(self, eps):
+        """The mask of the rows left at eps once the redundant G-stable rows
+        are dropped greedily by index."""
+        table, signs = self._vertices(), self.signs_at(eps)
+        keep = (1 << self.m) - 1
         changed = True
         while changed:
             changed = False
-            for r in sorted(rows_of(keep)):
-                if self.tags[r][0] == "x" and row_is_redundant(
-                        self._vertices(), r, keep, eps):
+            for r in range(self.m):
+                if keep >> r & 1 and self.tags[r][0] == "x" and row_is_redundant(
+                        table, signs, r, keep, self._bounded_region):
                     keep &= ~(1 << r)
                     changed = True
                     break
-        return rows_of(full & ~keep), rows_of(keep)
+        return keep
+
+    @_per_chamber
+    def pruned_rows_at(self, eps):
+        """Redundant G-stable rows at eps, dropped greedily by index, and the
+        rows kept."""
+        keep = self._kept_rows(eps)
+        return rows_of(((1 << self.m) - 1) & ~keep), rows_of(keep)
+
+    @_per_chamber
+    def _face_masks(self, eps):
+        """The face signatures at eps, pruned of redundant rows, as row
+        bitmasks."""
+        found = feasible_at(self._vertices(), self.signs_at(eps), self._kept_rows(eps))
+        return frozenset(closure_masks(found))
 
     @_per_chamber
     def signatures_at(self, eps, prune=True):
         """Canonical face-signature set at eps (pruned of redundant rows)."""
-        keep = mask_of(self.pruned_rows_at(eps)[1]) if prune else None
-        found = feasible_at(self._vertices(), eps, keep)
-        return frozenset(rows_of(sig) for sig in closure_masks(found))
+        masks = self._face_masks(eps) if prune else self.signature_masks_at(eps)
+        return frozenset([rows_of(sig) for sig in masks])
 
     @_per_chamber
     def signature_masks_at(self, eps):
         """Unpruned face signatures as row bitmasks (fast comparison path)."""
-        return frozenset(closure_masks(feasible_at(self._vertices(), eps)))
+        return frozenset(closure_masks(feasible_at(self._vertices(), self.signs_at(eps))))
 
     def system_at(self, eps):
         eps = frac(eps)
@@ -183,7 +228,7 @@ class MMPFamily:
         Lectures on Polytopes, 1995, ch. 2).  Exact on a bounded family,
         which `critical_epsilons` checks and `build_family` guarantees.
         """
-        return has_interior(feasible_at(self._vertices(), eps))
+        return has_interior(feasible_at(self._vertices(), self.signs_at(eps)))
 
 
 def build_family(X, D, Delta):
@@ -219,7 +264,7 @@ def critical_epsilons(fam):
     on the family's table), where the rules above are not exact;
     `build_family` never gives such a family, as D is ample.
     """
-    if not _is_bounded(fam._vertices()):
+    if not _is_bounded(fam._vertices(), fam.signs_at(0)):
         raise UnboundedPolyhedron("the family's polytope is unbounded at eps = 0")
     if not fam.admissible(0):
         raise DegenerateFamily("the family is not admissible at eps = 0")
@@ -232,18 +277,19 @@ def critical_epsilons(fam):
 
 
 def classify_breakpoints(fam, cands, eps_max):
-    """Events at the candidates, by comparing pruned signature sets."""
+    """Events at the candidates, by comparing pruned signature sets (as
+    sets of row masks; the intervals carry them as sets of rows)."""
     events = []
     pts = [Fraction(0)] + list(cands) + ([eps_max] if eps_max is not None else [])
     mids = []
     for lo, hi in zip(pts, pts[1:]):
         mids.append((lo + hi) / 2)
-    sig_mid = [fam.signatures_at(m) for m in mids]
+    sig_mid = [fam._face_masks(m) for m in mids]
     intervals = []
     cur_lo = Fraction(0)
     for k, c in enumerate(cands):
         sig_l, sig_r = sig_mid[k], sig_mid[k + 1]
-        sig_c = fam.signatures_at(c)
+        sig_c = fam._face_masks(c)
         if sig_l == sig_c == sig_r:
             continue
         pr_l = fam.pruned_rows_at(mids[k])[0]
@@ -255,20 +301,20 @@ def classify_breakpoints(fam, cands, eps_max):
                     "becoming superfluous")
             events.append(ContractionEvent(c, DIVISORIAL,
                                            pruned_rows=frozenset(pr_c - pr_l)))
-            intervals.append((cur_lo, c, sig_l))
+            intervals.append((cur_lo, c, fam.signatures_at(mids[k])))
             cur_lo = c
         elif sig_c != sig_l and sig_c != sig_r:
             events.append(ContractionEvent(c, FLIP))
-            intervals.append((cur_lo, c, sig_l))
+            intervals.append((cur_lo, c, fam.signatures_at(mids[k])))
             cur_lo = c
         else:
             raise DegenerateFamily(
                 f"anomalous signature pattern at {c} (non-general input?)")
     if eps_max is not None:
-        intervals.append((cur_lo, eps_max, sig_mid[-1]))
+        intervals.append((cur_lo, eps_max, fam.signatures_at(mids[-1])))
     else:
-        intervals.append((cur_lo, None, sig_mid[-1] if mids else
-                          fam.signatures_at(Fraction(1))))
+        intervals.append((cur_lo, None, fam.signatures_at(mids[-1] if mids else
+                                                          Fraction(1))))
     return events, intervals
 
 
@@ -288,7 +334,7 @@ def general_fiber(fam, eps_below, eps_max):
     source orbit over each target orbit; its absence is an internal error.
     """
     table = fam._vertices()
-    src, tgt = feasible_at(table, eps_below), feasible_at(table, eps_max)
+    src, tgt = (feasible_at(table, fam.signs_at(eps)) for eps in (eps_below, eps_max))
     if not tgt:
         raise NoMaximalPreimage("the terminal polytope is empty")
     preimages = {}
@@ -350,9 +396,10 @@ def run_log_mmp(X, D, Delta):
 
 
 def _face_map_rows(fam, eps_src, eps_tgt):
-    tgt_masks = list(feasible_at(fam._vertices(), eps_tgt))
+    table = fam._vertices()
+    tgt_masks = list(feasible_at(table, fam.signs_at(eps_tgt)))
     out = []
-    for sig in closure_masks(feasible_at(fam._vertices(), eps_src)):
+    for sig in closure_masks(feasible_at(table, fam.signs_at(eps_src))):
         tgt = face_of(tgt_masks, sig)
         out.append((rows_of(sig), None if tgt is None else rows_of(tgt)))
     return tuple(sorted(out, key=lambda pair: sorted(pair[0])))

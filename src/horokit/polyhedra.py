@@ -9,9 +9,17 @@ and all row slacks as integer numerators over one positive denominator, so
 that feasibility at any eps is an integer sign test, and with the sign of
 its determinant.  The table is built in one depth-first pass over the row
 subsets, which shares the elimination of a common prefix and skips every
-subset through a dependent one.  Vertices are the feasible entries, keyed
-by their active rows as bitmasks, and faces are the intersection closure of
-those masks.  The emptiness test reads the same kind of table.
+subset through a dependent one.
+
+The slack signs at one eps are computed once, in one pass over the table
+(`slack_signs`): two bitmasks per entry, the rows with negative slack and
+the rows with zero slack.  Every query of the table reads those masks and
+no slack: an entry is feasible on the rows of a mask keep iff its basis
+lies inside keep and no row of keep is negative, and its active set is its
+zero rows in keep.  Vertices are the feasible entries, keyed by their
+active sets, and faces are the intersection closure of those masks.  The
+emptiness test reads the same kind of table.  A static question takes its
+signs at eps = 0, where U alone decides.
 
 Every static polytope question reads the one table of its system and
 eliminates nothing more (Schrijver, Theory of Linear and Integer
@@ -35,7 +43,7 @@ in exact arithmetic.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, mul
 
 from .errors import EmptyPolytope, UnboundedPolyhedron
@@ -122,9 +130,19 @@ class BasicSolution(namedtuple("BasicSolution", "basis den P Q U V sign")):
                       for x, y in zip(self.P, self.Q)])
 
 
+class VertexTable(list):
+    """The entries of a vertex table (`vertex_table`), in order."""
+
+    @cached_property
+    def dets(self):
+        """{basis mask: det A_B} over the entries, rows in increasing order;
+        a subset with no entry is singular, of determinant 0."""
+        return {e.basis: e.sign * e.den for e in self}
+
+
 def vertex_table(A, B, C=None):
-    """One BasicSolution per invertible square subsystem of
-    {x : A x >= B + eps C}, in the order of itertools.combinations.
+    """A VertexTable with one BasicSolution per invertible square subsystem
+    of {x : A x >= B + eps C}, in the order of itertools.combinations.
 
     Each row [A_r | B_r] is scaled to integers together with C_r; C defaults
     to zero, a static system.
@@ -148,7 +166,7 @@ def vertex_table(A, B, C=None):
                         [0] * m if C is None else C)
     full = [row + (c,) for row, c in zip(rows, cs)]
     zero_v = None if any(cs) else (0,) * m    # a static system's V
-    out = []
+    out = VertexTable()
 
     def emit(mask, R, cols, e, odd):
         s = 1 if e > 0 else -1
@@ -189,47 +207,59 @@ def vertex_table(A, B, C=None):
     return out
 
 
-def _feasible(table, eps, keep):
-    """(kept rows, [(entry, its slacks on them scaled by the denominator of
-    eps)]) over every entry of the table feasible at eps whose basis lies
-    inside keep (a row mask, -1 for all rows)."""
+def slack_signs(table, eps=0):
+    """The signs of the row slacks of every entry of a vertex table at eps,
+    in one pass: a list of (neg, zero) aligned with the table, neg the mask
+    of the rows whose slack there is negative and zero that of the rows
+    whose slack is zero.
+
+    At eps = p/q (q > 0) the slack of row r has the sign of the integer
+    U[r] q + V[r] p, so at eps = 0, or wherever V is zero (every entry of a
+    static table), U alone decides.  A slack keeps its sign between two
+    consecutive roots of the table's slacks, so one pass answers every
+    query of the table there (`feasible_at`, `_is_bounded`,
+    `row_is_redundant`).
+    """
+    if not table:
+        return []
     eps = frac(eps)
     p, q = eps.numerator, eps.denominator
-    if not table:
-        return [], []
-    rows = [r for r in range(len(table[0].U)) if keep >> r & 1]
-    if keep == -1 and not p:
-        # every row at eps = 0, where a slack is U: the static questions'
-        # case, which a face lattice asks once per system
-        return rows, [(e, e.U) for e in table if min(e.U, default=0) >= 0]
+    bits = [1 << r for r in range(len(table[0].U))]
     out = []
     for e in table:
-        if e.basis & ~keep:
-            continue
-        U, V = e.U, e.V
-        slack = [U[r] * q + V[r] * p for r in rows]
-        if min(slack, default=0) >= 0:
-            out.append((e, slack))
-    return rows, out
+        neg = zero = 0
+        if not p or not any(e.V):
+            for bit, u in zip(bits, e.U):
+                if u < 0:
+                    neg |= bit
+                elif not u:
+                    zero |= bit
+        else:
+            for bit, u, v in zip(bits, e.U, e.V):
+                s = u * q + v * p
+                if s < 0:
+                    neg |= bit
+                elif not s:
+                    zero |= bit
+        out.append((neg, zero))
+    return out
 
 
-def feasible_at(table, eps=0, keep=None):
-    """The entries of a vertex table that are feasible at eps, one per
-    active set: {active row mask: entry}.
+def feasible_at(table, signs, keep=-1):
+    """The entries of a vertex table that are feasible where its slacks have
+    the signs `signs` (`slack_signs`), one per active set: {active row mask:
+    entry}.
 
-    keep (a row mask, all rows by default) restricts the system: only its
-    rows are tested, and only entries whose basis lies inside it are read.
-    A feasible basic point is determined by its active set, so the masks
-    stand for distinct points.
+    keep (a row mask, all rows by default) restricts the system: an entry
+    is feasible on the rows of keep iff its basis lies inside keep and none
+    of those rows has a negative slack, and its active set is its zero
+    slacks among them.  A feasible basic point is determined by its active
+    set, so the masks stand for distinct points.
     """
-    rows, feasible = _feasible(table, eps, -1 if keep is None else keep)
     out = {}
-    for e, slack in feasible:
-        mask = 0
-        for r, s in zip(rows, slack):
-            if not s:
-                mask |= 1 << r
-        out.setdefault(mask, e)
+    for e, (neg, zero) in zip(table, signs):
+        if not (e.basis & ~keep or neg & keep):
+            out.setdefault(zero & keep, e)
     return out
 
 
@@ -247,7 +277,8 @@ def basic_points(A, b):
     Returns a sorted list of (point, active) pairs, one per distinct point;
     every vertex of the (pointed) feasible region appears.
     """
-    found = feasible_at(vertex_table(A, b))
+    table = vertex_table(A, b)
+    found = feasible_at(table, slack_signs(table))
     return sorted((e.point(), rows_of(mask)) for mask, e in found.items())
 
 
@@ -260,15 +291,16 @@ def is_feasible(system):
     cols = echelon(system.A)[1]
     if not cols:
         return all(v <= 0 for v in system.b)
-    return bool(feasible_at(vertex_table([[row[c] for c in cols] for row in system.A],
-                                         system.b)))
+    table = vertex_table([[row[c] for c in cols] for row in system.A], system.b)
+    return bool(feasible_at(table, slack_signs(table)))
 
 
-def _is_bounded(table, eps=0, keep=-1):
+def _is_bounded(table, signs, keep=-1):
     """Is the region of the rows of keep (a mask, all rows by default) of
-    the system with vertex table `table`, at eps, bounded?  The answer is
-    exact when the region is empty or pointed; with no feasible entry whose
-    basis lies inside keep it is True.
+    the system with vertex table `table` bounded, where its slacks have the
+    signs `signs` (`slack_signs`)?  The answer is exact when the region is
+    empty or pointed; with no feasible entry whose basis lies inside keep
+    it is True.
 
     It is unbounded iff it has an unbounded edge v + t d.  At v some
     feasible basis B holds n - 1 independent rows tight on the edge and one
@@ -279,16 +311,21 @@ def _is_bounded(table, eps=0, keep=-1):
     The table already holds those products by Cramer's rule: for a row r
     outside B, A_r d_j = det(A_B with row j replaced by A_r) / det A_B, and
     that numerator is the signed determinant of the entry for B - j + r
-    times (-1)^(p - q), p the position of j in B and q that of r in
-    B - j + r; an absent entry is a singular subsystem, of determinant 0.
-    The directions d_j do not depend on eps, only which bases are feasible
-    does.  Every feasible entry is read, not one per vertex as `feasible_at`
-    keeps: at a degenerate vertex that one can miss the edge.
+    (`VertexTable.dets`) times (-1)^(p - q), p the position of j in B and q
+    that of r in B - j + r.  The directions d_j do not depend on eps, only
+    which bases are feasible does, so on a region with a vertex the answer
+    is the same at every eps.  Every feasible entry is read, not one per
+    vertex as `feasible_at` keeps: at a degenerate vertex that one can miss
+    the edge.
     """
-    rows, feasible = _feasible(table, eps, keep)
-    det = {e.basis: e.sign * e.den for e in table}
-    for e, _ in feasible:
+    if not table:
+        return True
+    det = table.dets
+    rows = [r for r in range(len(table[0].U)) if keep >> r & 1]
+    for e, (neg, _) in zip(table, signs):
         B = e.basis
+        if B & ~keep or neg & keep:
+            continue
         outside = [r for r in rows if not B >> r & 1]
         for i, j in enumerate(sorted(rows_of(B))):
             rest = B & ~(1 << j)
@@ -302,23 +339,24 @@ def _is_bounded(table, eps=0, keep=-1):
 
 
 def vertex_masks(system):
-    """The vertex table of a polytope and its vertices as {active row mask:
-    table entry}, empty when the system is.  Raises UnboundedPolyhedron on
-    an unbounded region."""
+    """The vertex table of a polytope, its slack signs at eps = 0 and its
+    vertices as {active row mask: table entry}, empty when the system is.
+    Raises UnboundedPolyhedron on an unbounded region."""
     table = vertex_table(system.A, system.b)
-    found = feasible_at(table)
+    signs = slack_signs(table)
+    found = feasible_at(table, signs)
     if not found:
         if rank(system.A) < system.dim and is_feasible(system):
             raise UnboundedPolyhedron("no basic points: region is not pointed")
-    elif not _is_bounded(table):
+    elif not _is_bounded(table, signs):
         raise UnboundedPolyhedron("feasible set has a nonzero recession cone")
-    return table, found
+    return table, signs, found
 
 
 def vertices(system):
     """All extreme points of a polytope, exact and lexicographically sorted
     ([] when empty).  Raises UnboundedPolyhedron on an unbounded region."""
-    return sorted(e.point() for e in vertex_masks(system)[1].values())
+    return sorted(e.point() for e in vertex_masks(system)[2].values())
 
 
 def polytope_dim(system):
@@ -326,30 +364,34 @@ def polytope_dim(system):
     for the rows S tight on all of it, the meet of the vertex masks, as
     {A_S x = b_S} is its affine hull.  Raises UnboundedPolyhedron on an
     unbounded region."""
-    found = vertex_masks(system)[1]
+    found = vertex_masks(system)[2]
     if not found:
         return -1
     return system.dim - rank([system.A[r] for r in rows_of(reduce(and_, found))])
 
 
-def row_is_redundant(table, r, keep, eps=0):
+def row_is_redundant(table, signs, r, keep, is_bounded=_is_bounded):
     """Is row r redundant among the rows of keep (a mask) of
-    {A x >= B + eps C}, given the vertex table of that system?
+    {A x >= B + eps C}, given the vertex table of that system and the signs
+    of its slacks at eps (`slack_signs`)?
 
     The region of the kept rows must be bounded.  Then row r is redundant
     iff the region of the other kept rows is bounded too, as read by
-    `_is_bounded`, and every one of its vertices satisfies row r, since a
-    polytope is the convex hull of its vertices (Ziegler, Lectures on
-    Polytopes, 1995, ch. 2; Schrijver, Theory of Linear and Integer
-    Programming, 1986, ch. 8).  A row whose removal leaves an empty region,
-    or one with no vertex, is reported as not redundant.
+    `is_bounded` (table, signs, row mask), and every one of its vertices
+    satisfies row r, since a polytope is the convex hull of its vertices
+    (Ziegler, Lectures on Polytopes, 1995, ch. 2; Schrijver, Theory of
+    Linear and Integer Programming, 1986, ch. 8): no feasible entry of
+    theirs has a negative slack on r.  A row whose removal leaves an empty
+    region, or one with no vertex, is reported as not redundant.
     """
     rest = keep & ~(1 << r)
-    eps = frac(eps)
-    p, q = eps.numerator, eps.denominator
-    found = feasible_at(table, eps, rest)
-    return (bool(found) and all(e.U[r] * q + e.V[r] * p >= 0 for e in found.values())
-            and _is_bounded(table, eps, rest))
+    found = False
+    for e, (neg, _) in zip(table, signs):
+        if not (e.basis & ~rest or neg & rest):
+            if neg >> r & 1:
+                return False
+            found = True
+    return found and is_bounded(table, signs, rest)
 
 
 def has_interior(found, rows=-1):
@@ -399,7 +441,7 @@ def face_of(masks, rows):
 def face_lattice(system):
     """Every nonempty face of a polytope as a FaceSignature, the polytope
     itself included; see `graded_faces`."""
-    return graded_faces(vertex_masks(system)[1])
+    return graded_faces(vertex_masks(system)[2])
 
 
 def graded_faces(found):
@@ -428,14 +470,14 @@ def redundant_rows(system):
     """Rows whose removal leaves the feasible set of a polytope unchanged.
     Raises EmptyPolytope when it is empty, UnboundedPolyhedron when it is
     unbounded."""
-    table, found = vertex_masks(system)
+    table, signs, found = vertex_masks(system)
     if not found:
         raise EmptyPolytope("feasible set is empty")
     m = len(system.A)
     if m == 1:
         return set()
     full = (1 << m) - 1
-    return {r for r in range(m) if row_is_redundant(table, r, full)}
+    return {r for r in range(m) if row_is_redundant(table, signs, r, full)}
 
 
 def lattice_points(system):

@@ -22,7 +22,7 @@ from .horo import sigma
 from .linalg import affine_dim, dot, frac, rank
 from .polyhedra import (InequalitySystem, _is_bounded, face_of, feasible_at,
                         graded_faces, has_interior, is_feasible, mask_of,
-                        rows_of, vertex_masks, vertex_table)
+                        rows_of, slack_signs, vertex_masks, vertex_table)
 from .record import Record
 from .rootdata import coroot_pairing, flag_dimension
 
@@ -73,6 +73,7 @@ def is_admissible(q):
     """(ok, violated clauses) for the admissibility conditions, all read off
     one vertex table: that of Q~ plus its wall rows.  Q~ must be a polytope.
 
+    The signs of its slacks are computed once (`polyhedra.slack_signs`).
     Restricted to the rows of Q~ (`keep`), the table gives the vertices of
     Q~ and its boundedness (`polyhedra._is_bounded`).  Q~ misses the
     interior of the dominant cone iff the polytope Q~ cut by the walls'
@@ -86,12 +87,13 @@ def is_admissible(q):
     keep = (1 << m) - 1
     table = vertex_table(q.qtilde.A + tuple(row for _, row, _ in walls),
                          q.qtilde.b + tuple(rhs for _, _, rhs in walls))
-    found = feasible_at(table, keep=keep)
+    signs = slack_signs(table)
+    found = feasible_at(table, signs, keep)
     if not found:
         if rank(q.qtilde.A) < q.qtilde.dim and is_feasible(q.qtilde):
             return False, ["pseudo-moment polytope is unbounded"]
         return False, ["polytope is empty"]
-    if not _is_bounded(table, keep=keep):
+    if not _is_bounded(table, signs, keep):
         return False, ["pseudo-moment polytope is unbounded"]
     verts = [e.point() for e in found.values()]
     bad = []
@@ -101,7 +103,7 @@ def is_admissible(q):
         if min(dot(row, v) for v in verts) < rhs:
             bad.append(f"moment polytope leaves the dominant cone at {alpha}")
             break
-    if not has_interior(feasible_at(table), ~keep):
+    if not has_interior(feasible_at(table, signs), ~keep):
         bad.append("moment polytope misses the interior of the dominant cone")
     return not bad, bad
 
@@ -131,7 +133,8 @@ def orbit_of_face(q, active_rows):
     """Orbit data of the face on which the given rows are tight."""
     rows = frozenset(active_rows)
     sig = mask_of(rows)
-    found = feasible_at(vertex_table(q.qtilde.A, q.qtilde.b))
+    table = vertex_table(q.qtilde.A, q.qtilde.b)
+    found = feasible_at(table, slack_signs(table))
     members = [e.point() for mask, e in found.items() if mask & sig == sig]
     if not members:
         raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
@@ -144,7 +147,7 @@ def orbit_poset(q):
     given by reverse inclusion of the active sets.  The faces, their
     dimensions and the walls through each vertex come from one vertex
     table."""
-    found = vertex_masks(q.qtilde)[1]
+    found = vertex_masks(q.qtilde)[2]
     walls = vertex_walls(wall_rows(q.hs, q.v0), found)
     return [(f, face_orbit(q.hs, walls, mask_of(f.active_rows), f.dim))
             for f in graded_faces(found)]
@@ -184,7 +187,8 @@ def map_face(q_source, q_target, active_rows):
             row, wall_rhs = q_target.wall_functional(alpha)
             rows += [row, tuple(-v for v in row)]
             rhs += [wall_rhs, -wall_rhs]
-    meet = face_of(feasible_at(vertex_table(rows, rhs)), 0)
+    table = vertex_table(rows, rhs)
+    meet = face_of(feasible_at(table, slack_signs(table)), 0)
     if meet is None:
         return COLLAPSED
     return rows_of(meet & ((1 << len(tgt.A)) - 1))

@@ -12,8 +12,10 @@ Each builds vertex tables of its own auxiliary system:
 from fractions import Fraction
 
 from horokit.linalg import affine_dim, dot, frac
-from horokit.polyhedra import feasible_at, rows_of, vertex_table, vertices
+from horokit.polyhedra import rows_of, vertex_table, vertices
 from horokit.errors import UnboundedPolyhedron
+
+from slack_reference import feasible_at
 
 
 def margin_table(A, B, C=None, strict=None):

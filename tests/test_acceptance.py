@@ -16,7 +16,7 @@ from itertools import combinations
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 import gridgen
 
-from horokit import classify as cl, divisor as dv, mmp, polyhedra as ph
+from horokit import classify as cl, divisor as dv, mmp, normalform as nform, polyhedra as ph
 from horokit import quadruple as qd, reference_tables as rt
 from horokit.classify import X1Spec, X2Spec
 from horokit.errors import NotRestrictedForm
@@ -164,24 +164,24 @@ def test_criterion_4_normalization():
         "w3": ("x1", "c", "A2 x 1 x C* x C*"),
     }
     fixtures = {"w1": w1_raw, "w2": w2_raw, "w3": w3_raw}
-    perms1 = list(itertools.permutations(cl.X1_RULES))
-    perms2 = list(itertools.permutations(cl.X2_RULES))
+    perms1 = list(itertools.permutations(nform.X1_RULES))
+    perms2 = list(itertools.permutations(nform.X2_RULES))
     rng = random.Random(17)
     for name, factory in fixtures.items():
-        nf = cl.normalize(factory())
+        nf = nform.normalize(factory())
         kind, rc, grp = expected[name]
         assert (nf.kind, nf.rc, repr(nf.spec.G)) == (kind, rc, grp), name
-        assert cl.normalize(nf.spec).spec == nf.spec
+        assert nform.normalize(nf.spec).spec == nf.spec
         for p1 in rng.sample(perms1, 8):
             for p2 in rng.sample(perms2, 4):
-                alt = cl.normalize(factory(), x1_rules=p1, x2_rules=p2)
+                alt = nform.normalize(factory(), x1_rules=p1, x2_rules=p2)
                 assert alt.spec == nf.spec and alt.rc == nf.rc
     count = checked = 0
     for spec in _random_raw_specs(200, seed=23):
         count += 1
         base_dim = spec.dim()
         # every rewrite step preserves the open-orbit dimension
-        cur, rules = spec, cl.X1_RULES
+        cur, rules = spec, nform.X1_RULES
         while True:
             for rule in rules:
                 new = rule(cur)
@@ -189,16 +189,16 @@ def test_criterion_4_normalization():
                     break
             else:
                 break
-            if isinstance(new, cl.NormalForm):
+            if isinstance(new, nform.NormalForm):
                 break
             assert new.dim() == base_dim
             cur = new
-        nf = cl.normalize(spec)
+        nf = nform.normalize(spec)
         if nf.kind == "x1":
             assert nf.spec.dim() == base_dim
-            assert cl.normalize(nf.spec).spec == nf.spec
+            assert nform.normalize(nf.spec).spec == nf.spec
             for p in rng.sample(perms1, 2):
-                assert cl.normalize(spec, x1_rules=p).spec == nf.spec
+                assert nform.normalize(spec, x1_rules=p).spec == nf.spec
             checked += 1
     _announce(4, "normalization fixtures", True,
               f"3 fixtures + {count} random raw specs ({checked} non-product)")
@@ -246,23 +246,23 @@ def test_criterion_7_fiber_dimension_identities():
         G = spec.G
         dgp = flag_dimension(G, {r for r in G.nontrivial_roots()
                                  if r != spec.beta})
-        out = cl.psi_fibration(spec)
+        out = nform.psi_fibration(spec)
         assert out.fiber_dim == spec.dim() - dgp, spec
         try:
-            rows = cl.fiber_dimension_table(spec)
+            rows = nform.fiber_dimension_table(spec)
         except NotRestrictedForm:
             continue
-        loci = cl.exceptional_loci(spec)
+        loci = nform.exceptional_loci(spec)
         for row in rows:
             dim_prev = loci[row.level - 1].dim if row.level >= 1 else dgp - 1
             for j, dj in zip(row.js, row.fiber_dims):
                 alpha = spec.alphas[j]
                 lhs1 = dgp + dj - dim_prev - 1
-                assert lhs1 == cl._pq_dim(G, [alpha], [spec.beta, alpha])
+                assert lhs1 == nform._pq_dim(G, [alpha], [spec.beta, alpha])
                 dga = 0 if G.is_trivial_root(alpha) else flag_dimension(
                     G, {r for r in G.nontrivial_roots() if r != alpha})
                 lhs2 = dga + dj - dim_prev - 1
-                assert lhs2 == cl._pq_dim(G, [spec.beta], [spec.beta, alpha])
+                assert lhs2 == nform._pq_dim(G, [spec.beta], [spec.beta, alpha])
                 checked += 1
     _announce(7, "fiber dimension identities", True, f"{checked} rows")
 

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from horokit import classify as cl, horo
-from horokit.classify import (FlagLeaf, ProjSpaceLeaf, RankOneLeaf, RCFail,
-                              X1Spec, X2Spec, check_rc1, check_rc2, normalize)
+from horokit import classify as cl, horo, normalform as nform
+from horokit.classify import RCFail, X1Spec, X2Spec, check_rc1, check_rc2
+from horokit.normalform import FlagLeaf, ProjSpaceLeaf, RankOneLeaf, normalize
 from horokit.errors import (HorokitError, NotRestrictedForm, NotSmoothInput,
                             RewriteDepthExceeded, SpecInvariantViolated)
 from horokit.rootdata import (GroupFactor, GroupProduct, Root, SL, Sp, Spin,
@@ -140,8 +140,8 @@ def test_normalize_idempotent():
 
 
 def test_normalize_rule_permutation_confluence():
-    perms1 = list(itertools.permutations(cl.X1_RULES))
-    perms2 = list(itertools.permutations(cl.X2_RULES))
+    perms1 = list(itertools.permutations(nform.X1_RULES))
+    perms2 = list(itertools.permutations(nform.X2_RULES))
     random.Random(3).shuffle(perms1)
     for raw_fn in (w1_raw, w2_raw, w3_raw):
         base = normalize(raw_fn())
@@ -193,7 +193,7 @@ def _random_raw_specs(count, seed=11):
         try:
             spec = X1Spec(GroupProduct(tuple(factors)), Root(0, beta),
                           tuple(alphas), tuple(a))
-            cl._smoothness_gate_x1(spec)
+            nform._smoothness_gate_x1(spec)
         except (SpecInvariantViolated, NotSmoothInput):
             continue
         out.append(spec)
@@ -202,7 +202,7 @@ def _random_raw_specs(count, seed=11):
 
 def test_normalize_random_grid_dimension_preserved():
     specs = _random_raw_specs(200)
-    perms = list(itertools.permutations(cl.X1_RULES))
+    perms = list(itertools.permutations(nform.X1_RULES))
     rng = random.Random(5)
     for spec in specs:
         try:
@@ -224,9 +224,9 @@ def test_rewrite_steps_preserve_dimension():
     for raw_fn in (w1_raw, w3_raw):
         spec = raw_fn()
         if isinstance(spec, X2Spec):
-            rules = cl.X2_RULES
+            rules = nform.X2_RULES
         else:
-            rules = cl.X1_RULES
+            rules = nform.X1_RULES
         while True:
             for rule in rules:
                 new = rule(spec)
@@ -234,11 +234,11 @@ def test_rewrite_steps_preserve_dimension():
                     break
             else:
                 break
-            if isinstance(new, cl.NormalForm):
+            if isinstance(new, nform.NormalForm):
                 break
             assert new.dim() == spec.dim()
             spec = new
-            rules = cl.X1_RULES if isinstance(spec, X1Spec) else cl.X2_RULES
+            rules = nform.X1_RULES if isinstance(spec, X1Spec) else nform.X2_RULES
 
 
 def test_normalize_products():
@@ -269,7 +269,7 @@ def test_normalize_products():
 def test_exceptional_loci_case1():
     spec = X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2))),
                   Root(0, 3), (Root(1, 0), Root(2, 0), Root(3, 1)), (0, 1, 2))
-    loci = cl.exceptional_loci(spec)
+    loci = nform.exceptional_loci(spec)
     assert len(loci) == 3  # E_0, E_1, E_2 = X
     assert loci[-1].face_index_set == ()
     assert loci[-1].dim == spec.dim()
@@ -284,7 +284,7 @@ def test_exceptional_loci_case1():
     sub = loci[1].subspec
     assert isinstance(sub, X1Spec) and sub.n == 1 and sub.a == (0, 1)
     with pytest.raises(NotRestrictedForm):
-        cl.exceptional_loci(X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, SL(2))),
+        nform.exceptional_loci(X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, SL(2))),
                                    Root(0, 3),
                                    (Root(1, 0), Root(0, 1), Root(2, 1)),
                                    (0, 0, 0)))
@@ -293,7 +293,7 @@ def test_exceptional_loci_case1():
 def test_exceptional_loci_case2():
     spec = X2Spec(GroupProduct((TRIVIAL_FACTOR, SL(2), Spin(7))),
                   (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))
-    loci = cl.exceptional_loci(spec)
+    loci = nform.exceptional_loci(spec)
     assert [l.rank for l in loci] == [1, 2]
     assert loci[-1].dim == spec.dim()
     assert loci[0].subspec is None  # product of a two-orbit leaf and a flag
@@ -303,22 +303,22 @@ def test_fiber_dimension_table_identities():
     from horokit.rootdata import flag_dimension
     spec = X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2))),
                   Root(0, 3), (Root(1, 0), Root(2, 0), Root(3, 1)), (0, 1, 2))
-    rows = cl.fiber_dimension_table(spec)
-    loci = cl.exceptional_loci(spec)
+    rows = nform.fiber_dimension_table(spec)
+    loci = nform.exceptional_loci(spec)
     G = spec.G
     dgp = flag_dimension(G, {r for r in G.nontrivial_roots() if r != spec.beta})
     for row in rows:
         dim_prev = loci[row.level - 1].dim if row.level >= 1 else dgp - 1
         for j, dj in zip(row.js, row.fiber_dims):
             lhs1 = dgp + dj - dim_prev - 1
-            rhs1 = cl._pq_dim(G, [spec.alphas[j]], [spec.beta, spec.alphas[j]])
+            rhs1 = nform._pq_dim(G, [spec.alphas[j]], [spec.beta, spec.alphas[j]])
             assert lhs1 == rhs1
             walpha = spec.alphas[j]
             dga = flag_dimension(G, {r for r in G.nontrivial_roots()
                                      if r != walpha}) \
                 if not G.is_trivial_root(walpha) else 0
             lhs2 = dga + dj - dim_prev - 1
-            rhs2 = cl._pq_dim(G, [spec.beta], [spec.beta, walpha])
+            rhs2 = nform._pq_dim(G, [spec.beta], [spec.beta, walpha])
             assert lhs2 == rhs2
     # level 0 with a gap of one and an outer root: fiber dim = dim G/P(beta)
     assert rows[0].case == 1 and rows[0].fiber_dims == (dgp,)
@@ -327,8 +327,8 @@ def test_fiber_dimension_table_identities():
 def test_psi_fibration():
     spec = X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, TORUS_FACTOR, SL(2))),
                   Root(0, 3), (Root(1, 0), Root(2, 0), Root(3, 1)), (0, 1, 2))
-    out = cl.psi_fibration(spec)
-    assert out.fiber_class == cl.PROJECTIVE_SPACE
+    out = nform.psi_fibration(spec)
+    assert out.fiber_class == nform.PROJECTIVE_SPACE
     from horokit.rootdata import flag_dimension
     dgp = flag_dimension(spec.G, {r for r in spec.G.nontrivial_roots()
                                   if r != spec.beta})
@@ -336,10 +336,10 @@ def test_psi_fibration():
     # rank-one pair of homogeneous type: Grassmannian-like fiber
     spec_a = X1Spec(GroupProduct((GroupFactor("B", 3), SL(5))),
                     Root(0, 2), (Root(1, 2), Root(1, 3)), (0, 1))
-    assert cl.psi_fibration(spec_a).fiber_class == cl.HOMOGENEOUS_NON_PS
+    assert nform.psi_fibration(spec_a).fiber_class == nform.HOMOGENEOUS_NON_PS
     # two-orbit tail target for the second family
     spec2 = X2Spec(GroupProduct((TRIVIAL_FACTOR, SL(2), Spin(7))),
                    (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))
-    out2 = cl.psi_fibration(spec2)
+    out2 = nform.psi_fibration(spec2)
     assert "two-orbit" in out2.target
-    assert out2.fiber_class == cl.PROJECTIVE_SPACE
+    assert out2.fiber_class == nform.PROJECTIVE_SPACE

@@ -159,6 +159,32 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error: "), (args, err)
         assert nowhere in err[0]
+    # a figure that cannot be written leaves no report behind, in a file or
+    # on stdout
+    report = tmp_path / "report.json"
+    for args in (["mmp", str(f), "--json", str(report), "--svg", nowhere],
+                 ["mmp", str(f), "--svg", nowhere]):
+        assert cli.main(args) == 2, args
+        out = capsys.readouterr()
+        assert out.out == "" and nowhere in out.err, (args, out)
+        assert not report.exists(), args
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the reader of stdout is gone before the command writes (as with
+    # `horokit appendix | head -1`): exit 1, and nothing on stderr
+    f = tmp_path / "w3.json"
+    f.write_text(json.dumps(W3))
+    for args in (["appendix", "--family", "G", "--max-rank", "2"], ["mmp", str(f)],
+                 ["check", str(f)]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "horokit.cli", *args],
+                                  stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, ""), args
 
 
 def test_subprocess_entry_point(tmp_path):
@@ -215,7 +241,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         return code, set(modules)
 
     unused = {"horokit.mmp", "horokit.quadruple", "horokit.reference_tables",
-              "horokit.lp"}
+              "horokit.lp", "horokit.normalform"}
     code, modules = loaded()
     assert code is None and not modules & unused
     for name, want in (("w3", 0), ("fan", 1), ("line", 1), ("pyramid", 1)):
@@ -223,8 +249,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         assert code == want and not modules & unused, (name, modules)
     code, modules = loaded("mmp", str(files["w3"]))
     assert code == 0 and "horokit.mmp" in modules
-    assert not modules & {"horokit.reference_tables", "horokit.lp"}
-    assert loaded("normalize", str(files["w3"]))[0] == 0
+    assert not modules & {"horokit.reference_tables", "horokit.lp",
+                          "horokit.normalform"}
+    code, modules = loaded("normalize", str(files["w3"]))
+    assert code == 0 and "horokit.normalform" in modules
     assert loaded("appendix", "--family", "G", "--max-rank", "2")[0] == 0
 
 

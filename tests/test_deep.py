@@ -8,7 +8,8 @@ import pytest
 from fractions import Fraction as F
 
 from horokit import classify as cl, divisor as dv, horo, mmp
-from horokit.classify import X1Spec, X2Spec, normalize
+from horokit.classify import X1Spec, X2Spec
+from horokit.normalform import normalize
 from horokit.errors import DegenerateFamily
 from horokit.horo import ColoredCone, ColoredFan, HomSpaceData
 from horokit.rootdata import (GroupFactor, GroupProduct, Root, SL, Sp, Spin,

@@ -238,7 +238,7 @@ def test_parametric_path_matches_static_path():
             S = fam.system_at(eps)
             assert fam.signatures_at(eps, prune=False) == \
                 frozenset(f.active_rows for f in ph.face_lattice(S))
-            found = ph.feasible_at(fam._vertices(), eps)
+            found = ph.feasible_at(fam._vertices(), fam.signs_at(eps))
             assert sorted((e.point(eps), ph.rows_of(mask)) for mask, e in found.items()) \
                 == ph.basic_points(S.A, S.b)
 

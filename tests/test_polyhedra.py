@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from horokit import linalg, lp, polyhedra as ph
 from horokit.errors import EmptyPolytope, UnboundedPolyhedron
 from horokit.linalg import affine_dim, det_int, int_rows
 
+import slack_reference
 from margin_reference import escape_row_is_redundant, margin_at, margin_table
 
 SIMPLEX2 = ph.InequalitySystem(((1, 0), (0, 1), (-1, -1)), (0, 0, -1))
@@ -372,7 +374,8 @@ def test_redundancy_and_interior_match_margin_reference(system, data):
         probes |= {roots[0] - 1, roots[-1] + 1}
     for eps in data.draw(st.lists(st.sampled_from(sorted(probes)), min_size=1,
                                   max_size=4, unique=True)):
-        found = ph.feasible_at(table, eps)
+        signs = ph.slack_signs(table, eps)
+        found = ph.feasible_at(table, signs)
         margin = margin_at(margins, eps)
         assert ph.has_interior(found) == (margin is not None and margin > 0), eps
         strict = data.draw(st.integers(0, (1 << m) - 1))
@@ -382,5 +385,61 @@ def test_redundancy_and_interior_match_margin_reference(system, data):
         # the kept rows hold the box, so their region is bounded
         keep = data.draw(st.integers(0, (1 << free) - 1)) | ((1 << m) - (1 << free))
         for r in ph.rows_of(keep):
-            assert ph.row_is_redundant(table, r, keep, eps) == \
+            assert ph.row_is_redundant(table, signs, r, keep) == \
                 escape_row_is_redundant(A, table, r, keep, eps), (eps, keep, r)
+
+
+# The sign kernel against the slack-list kernels it replaced
+# (tests/slack_reference.py), which compute every slack on each call: on
+# static and parametric systems, at every root of a slack, between two
+# consecutive roots and beyond them, on random row masks.
+
+def _probes(table):
+    roots = sorted({F(-u, v) for e in table for u, v in zip(e.U, e.V) if v})
+    probes = {F(0), F(1, 3), F(-2)} | set(roots)
+    probes |= {(a + b) / 2 for a, b in zip(roots, roots[1:])}
+    if roots:
+        probes |= {roots[0] - 1, roots[-1] + 1}
+    return sorted(probes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_table_input(), st.data())
+def test_sign_kernel_matches_slack_lists(case, data):
+    A, B, C = case
+    m = len(A)
+    table = ph.vertex_table(A, B, C)
+    masks = st.just(-1) | st.integers(0, (1 << m) - 1)
+    for eps in _probes(table):
+        signs = ph.slack_signs(table, eps)
+        for keep in data.draw(st.lists(masks, min_size=1, max_size=3)):
+            assert ph.feasible_at(table, signs, keep) == \
+                slack_reference.feasible_at(table, eps, keep), (eps, keep)
+            assert ph._is_bounded(table, signs, keep) == \
+                slack_reference.is_bounded(table, eps, keep), (eps, keep)
+            for r in ph.rows_of(keep & ((1 << m) - 1)):
+                assert ph.row_is_redundant(table, signs, r, keep) == \
+                    slack_reference.row_is_redundant(table, r, keep, eps), (eps, keep, r)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_parametric_system())
+def test_family_memos_match_fresh_reads(system):
+    # a family of G-stable rows, pruned at every chamber in a shuffled
+    # order: each boundedness it kept equals a fresh read at every chamber
+    # where that region has a vertex, and each chamber key equals a bisection
+    # of the roots as fractions
+    from horokit.mmp import MMPFamily
+    A, B, C, _ = system
+    fam = MMPFamily(None, A, B, C, [ph.gstable_tag(i) for i in range(len(A))], (), ())
+    table = fam._vertices()
+    probes = _probes(table)
+    roots = fam.roots()
+    for eps in random.Random(len(probes)).sample(probes, len(probes)):
+        i = bisect_left(roots, eps)
+        assert fam.chamber(eps) == 2 * i + (i < len(roots) and roots[i] == eps), eps
+        fam.pruned_rows_at(eps)
+    for keep, bounded in fam._bounded.items():
+        for eps in probes:
+            if slack_reference.feasible_at(table, eps, keep):
+                assert bounded == slack_reference.is_bounded(table, eps, keep), (keep, eps)

@@ -22,7 +22,6 @@ from operator import mul
 from . import rootdata
 from .errors import AssertionBZeta, NotCartier, NotQCartier
 from .linalg import frac
-from .polyhedra import InequalitySystem, color_tag, gstable_tag, lattice_points
 from .record import Record, factory
 
 AMPLE = "Ample"
@@ -157,6 +156,7 @@ def moment_polytopes(X, D, pl=None):
     right-hand side the negated coefficient.  pl, h_D when the caller has
     it, spares the Q-Cartier check.
     """
+    from .polyhedra import InequalitySystem, color_tag, gstable_tag  # not for `check`
     if pl is None:
         pl_function(X, D)  # Q-Cartier gate
     rows, rhs, tags = [], [], []
@@ -172,6 +172,7 @@ def moment_polytopes(X, D, pl=None):
 
 def section_weights(X, D):
     """Highest weights of the section module of a Cartier divisor."""
+    from .polyhedra import lattice_points
     h = pl_function(X, D)
     if not h.cartier:
         raise NotCartier("section weights need a Cartier divisor")

@@ -97,9 +97,17 @@ def solve(rows, rhs):
 
 
 def int_rows(rows, rhs):
-    """Scale each row of (A | b) by a positive rational to integer entries."""
-    scaled = [primitive(tuple(r) + (b,)) for r, b in zip(rows, rhs)]
-    return [p[:-1] for p in scaled], [p[-1] for p in scaled]
+    """Scale each row of (A | b) to its `primitive` integers in one pass: the
+    lcm of its denominators, then its numerators over their gcd."""
+    out, cs = [], []
+    for r, b in zip(rows, rhs):
+        row = [*r, b]
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints) or 1
+        out.append(tuple([x // g for x in ints[:-1]]))
+        cs.append(ints[-1] // g)
+    return out, cs
 
 
 def det_int(rows):

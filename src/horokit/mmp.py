@@ -24,7 +24,8 @@ Every slack keeps its sign on a chamber, so the signs are computed once
 per chamber (`polyhedra.slack_signs`), and every question at eps reads
 them: the face queries (`admissible`, `signature_masks_at`,
 `signatures_at`, `pruned_rows_at`), the face maps and the fibers.  The face
-queries are answered once per chamber and then read back.  A chamber is
+queries are answered once per chamber and then read back, and a face
+lattice is closed once per distinct set of vertex masks.  A chamber is
 found by integer comparison: the roots are scaled once to one common
 denominator L, and eps = p/q falls at or between them as p L / q does.
 The boundedness of a row subset's region is asked only where that region
@@ -115,6 +116,7 @@ class MMPFamily:
         self._keys = None       # (L, the roots times L)
         self._chambers = {}
         self._bounded = {}      # row mask -> is its region bounded
+        self._lattices = {}     # vertex masks -> their face signatures
 
     # -- parametric vertex preprocessing -----------------------------------
 
@@ -180,6 +182,14 @@ class MMPFamily:
                     break
         return keep
 
+    def _closure(self, found):
+        """`polyhedra.closure_masks` of the vertex masks `found`, once per
+        distinct set of them, which chambers with the same vertices share."""
+        key = frozenset(found)
+        if key not in self._lattices:
+            self._lattices[key] = frozenset(closure_masks(key))
+        return self._lattices[key]
+
     @_per_chamber
     def pruned_rows_at(self, eps):
         """Redundant G-stable rows at eps, dropped greedily by index, and the
@@ -191,8 +201,8 @@ class MMPFamily:
     def _face_masks(self, eps):
         """The face signatures at eps, pruned of redundant rows, as row
         bitmasks."""
-        found = feasible_at(self._vertices(), self.signs_at(eps), self._kept_rows(eps))
-        return frozenset(closure_masks(found))
+        return self._closure(feasible_at(self._vertices(), self.signs_at(eps),
+                                         self._kept_rows(eps)))
 
     @_per_chamber
     def signatures_at(self, eps, prune=True):
@@ -203,7 +213,7 @@ class MMPFamily:
     @_per_chamber
     def signature_masks_at(self, eps):
         """Unpruned face signatures as row bitmasks (fast comparison path)."""
-        return frozenset(closure_masks(feasible_at(self._vertices(), self.signs_at(eps))))
+        return self._closure(feasible_at(self._vertices(), self.signs_at(eps)))
 
     def system_at(self, eps):
         eps = frac(eps)
@@ -338,13 +348,13 @@ def general_fiber(fam, eps_below, eps_max):
     if not tgt:
         raise NoMaximalPreimage("the terminal polytope is empty")
     preimages = {}
-    for sig in closure_masks(src):
+    for sig in fam._closure(src):
         image = face_of(tgt, sig)
         if image is None:
             raise NoMaximalPreimage(f"face {sorted(rows_of(sig))} has empty image")
         preimages.setdefault(image, []).append(sig)
     X = fam.X
-    src_walls, tgt_walls = (vertex_walls(wall_rows(X.hs, fam.v_at(eps)), found, eps)
+    src_walls, tgt_walls = (vertex_walls(wall_rows(X.hs, fam.v_at(eps), X.image), found, eps)
                             for found, eps in ((src, eps_below), (tgt, eps_max)))
 
     def orbit(walls, sig):
@@ -352,7 +362,7 @@ def general_fiber(fam, eps_below, eps_max):
         return face_orbit(X.hs, walls, sig, fam.n - rank([fam.A[r] for r in rows_of(sig)]))
 
     records = []
-    for image in sorted(closure_masks(tgt), key=lambda sig: sorted(rows_of(sig))):
+    for image in sorted(fam._closure(tgt), key=lambda sig: sorted(rows_of(sig))):
         pre = preimages.get(image, [])
         if not pre:
             raise NoMaximalPreimage("fibration misses a target orbit")
@@ -399,7 +409,7 @@ def _face_map_rows(fam, eps_src, eps_tgt):
     table = fam._vertices()
     tgt_masks = list(feasible_at(table, fam.signs_at(eps_tgt)))
     out = []
-    for sig in closure_masks(feasible_at(table, fam.signs_at(eps_src))):
+    for sig in fam._closure(feasible_at(table, fam.signs_at(eps_src))):
         tgt = face_of(tgt_masks, sig)
         out.append((rows_of(sig), None if tgt is None else rows_of(tgt)))
     return tuple(sorted(out, key=lambda pair: sorted(pair[0])))

@@ -9,7 +9,8 @@ and all row slacks as integer numerators over one positive denominator, so
 that feasibility at any eps is an integer sign test, and with the sign of
 its determinant.  The table is built in one depth-first pass over the row
 subsets, which shares the elimination of a common prefix and skips every
-subset through a dependent one.
+subset through a dependent one.  The last row of a subset enters through
+its reduced entries on the free column and the right-hand sides alone.
 
 The slack signs at one eps are computed once, in one pass over the table
 (`slack_signs`): two bitmasks per entry, the rows with negative slack and
@@ -159,35 +160,59 @@ def vertex_table(A, B, C=None):
     Programming, 1986, ch. 3).  After n rows the last pivot is det A_B with
     its columns in pivot order, so `sign`, the sign of det A_B, is its sign
     times the parity of that order.
+
+    The last row x enters through dot products alone, e = d x[f] -
+    sum x[c_j] R_j[f] on the one free column f and y_b, y_c alike, and with
+    s the sign of e the point updates the pivot rows' right-hand sides alone
+    (Bareiss, Math. Comp. 22, 1968): P[c_j] = s (e R_j[b] - R_j[f] y_b) / d,
+    P[f] = s y_b, Q alike.  A static table shares one zero Q and zero V.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     rows, cs = int_rows([tuple(a) + (b,) for a, b in zip(A, B)],
                         [0] * m if C is None else C)
     full = [row + (c,) for row, c in zip(rows, cs)]
-    zero_v = None if any(cs) else (0,) * m    # a static system's V
+    static = not any(cs)
+    zero_q, zero_v = (0,) * n, (0,) * m     # a static system's Q and V
+    # lists, not generator expressions, inside tuple(): on CPython 3.11
+    # the generators raised the peak RSS of a face-lattice sweep by ~1 MB
+    if not n:   # the one entry is the empty subsystem
+        V = zero_v if static else tuple([-c for c in cs])
+        return VertexTable([BasicSolution(0, 1, (), (), tuple([-r[0] for r in rows]), V, 1)])
     out = VertexTable()
 
-    def emit(mask, R, cols, e, odd):
-        s = 1 if e > 0 else -1
-        den = s * e
-        P, Q = [0] * n, [0] * n
-        for row, c in zip(R, cols):
-            P[c], Q[c] = s * row[n], s * row[n + 1]
-        P, Q = tuple(P), tuple(Q)
-        Pb = P + (-den,)
-        # lists, not generator expressions, inside tuple(): on CPython 3.11
-        # the generators raised the peak RSS of a face-lattice sweep by ~1 MB
-        U = tuple([sum(map(mul, row, Pb)) for row in rows])
-        V = zero_v or tuple([sum(map(mul, row, Q)) - den * c
-                             for row, c in zip(rows, cs)])
-        out.append(BasicSolution(mask, den, P, Q, U, V, -s if odd else s))
+    def last(start, mask, R, cols, d, odd, f):
+        odd ^= sum(f < c for c in cols) & 1
+        Rf, Rb, Rc = [[row[k] for row in R] for k in (f, n, n + 1)]
+        for i in range(start, m):
+            x = full[i]
+            xc = [x[c] for c in cols]
+            e = d * x[f] - sum(map(mul, xc, Rf))
+            if not e:
+                continue
+            s = 1 if e > 0 else -1
+            den = s * e
+            yb = d * x[n] - sum(map(mul, xc, Rb))
+            P = [0] * n
+            P[f] = s * yb
+            for c, rb, rf in zip(cols, Rb, Rf):
+                P[c] = s * ((e * rb - rf * yb) // d)
+            U = tuple([sum(map(mul, row, P)) - den * row[n] for row in rows])
+            Q, V = zero_q, zero_v
+            if not static:
+                yc = d * x[n + 1] - sum(map(mul, xc, Rc))
+                Q = [0] * n
+                Q[f] = s * yc
+                for c, rc, rf in zip(cols, Rc, Rf):
+                    Q[c] = s * ((e * rc - rf * yc) // d)
+                V = tuple([sum(map(mul, row, Q)) - den * c for row, c in zip(rows, cs)])
+            out.append(BasicSolution(mask | 1 << i, den, tuple(P), tuple(Q), U, V,
+                                     -s if odd else s))
 
     def extend(start, mask, R, cols, d, odd):
-        if len(cols) == n:
-            emit(mask, R, cols, d, odd)
-            return
         free = [c for c in range(n) if c not in cols]
+        if len(free) == 1:
+            return last(start, mask, R, cols, d, odd, free[0])
         for i in range(start, m - len(free) + 1):
             x = full[i]
             y = [d * v for v in x]
@@ -327,11 +352,12 @@ def _is_bounded(table, signs, keep=-1):
         if B & ~keep or neg & keep:
             continue
         outside = [r for r in rows if not B >> r & 1]
-        for i, j in enumerate(sorted(rows_of(B))):
+        for i, j in enumerate([r for r in rows if B >> r & 1]):
             rest = B & ~(1 << j)
+            odd = i + (e.sign < 0)  # A_r d_j < 0 iff v != 0 and (v < 0) != (odd + k) odd
             for r in outside:
-                k = (rest & ((1 << r) - 1)).bit_count()
-                if det.get(rest | 1 << r, 0) * e.sign * (-1) ** (i + k) < 0:
+                v = det.get(rest | 1 << r, 0)
+                if v and (v < 0) != (odd + (rest & ((1 << r) - 1)).bit_count()) & 1:
                     break
             else:
                 return False    # A d_j >= 0 on the kept rows: an unbounded edge

@@ -14,7 +14,7 @@ table of the target with the imposed equalities.  Which walls hold at a
 vertex is an integer test on its table entry.
 """
 
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, mul
 
 from .errors import EmptyFace, IncompatibleQuadruples
@@ -27,11 +27,12 @@ from .record import Record
 from .rootdata import coroot_pairing, flag_dimension
 
 
-def wall_rows(hs, v0):
+def wall_rows(hs, v0, image):
     """[(alpha, row, rhs)] over the colors alpha, sorted: the wall of alpha
-    reads row . chi = rhs on Q~, with the integer row sigma(alpha) and
+    reads row . chi = rhs on Q~, with the integer row sigma(alpha) =
+    image(alpha) (`HoroVariety.image` holds it once per variety) and
     rhs = -<alpha^vee, v0>."""
-    return [(alpha, sigma(hs, alpha), -coroot_pairing(hs.G, alpha, v0))
+    return [(alpha, image(alpha), -coroot_pairing(hs.G, alpha, v0))
             for alpha in sorted(hs.R)]
 
 
@@ -64,9 +65,9 @@ class AdmissibleQuadruple(Record):
     def rank(self):
         return self.hs.rank
 
-    def wall_functional(self, alpha):
-        """(row, rhs) with the wall condition row . chi = rhs on Q~."""
-        return sigma(self.hs, alpha), -coroot_pairing(self.hs.G, alpha, self.v0)
+    def walls(self):
+        """`wall_rows` of Q~: the wall of each color alpha reads row . chi = rhs."""
+        return wall_rows(self.hs, self.v0, partial(sigma, self.hs))
 
 
 def is_admissible(q):
@@ -82,7 +83,7 @@ def is_admissible(q):
     (`polyhedra.has_interior`; Ziegler, Lectures on Polytopes, 1995,
     ch. 2), the same rule as `MMPFamily.admissible`.
     """
-    walls = wall_rows(q.hs, q.v0)
+    walls = q.walls()
     m = len(q.qtilde.A)
     keep = (1 << m) - 1
     table = vertex_table(q.qtilde.A + tuple(row for _, row, _ in walls),
@@ -138,8 +139,7 @@ def orbit_of_face(q, active_rows):
     members = [e.point() for mask, e in found.items() if mask & sig == sig]
     if not members:
         raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
-    return face_orbit(q.hs, vertex_walls(wall_rows(q.hs, q.v0), found), sig,
-                      affine_dim(members))
+    return face_orbit(q.hs, vertex_walls(q.walls(), found), sig, affine_dim(members))
 
 
 def orbit_poset(q):
@@ -148,7 +148,7 @@ def orbit_poset(q):
     dimensions and the walls through each vertex come from one vertex
     table."""
     found = vertex_masks(q.qtilde)[2]
-    walls = vertex_walls(wall_rows(q.hs, q.v0), found)
+    walls = vertex_walls(q.walls(), found)
     return [(f, face_orbit(q.hs, walls, mask_of(f.active_rows), f.dim))
             for f in graded_faces(found)]
 
@@ -182,9 +182,9 @@ def map_face(q_source, q_target, active_rows):
         elif tag[0] == "color":
             raise IncompatibleQuadruples(f"target lacks the color row {tag}")
         # missing G-stable rows were pruned; they impose nothing
-    for alpha in sorted(orbit_of_face(q_source, active_rows).walls):
-        if alpha in q_target.hs.R:
-            row, wall_rhs = q_target.wall_functional(alpha)
+    on = orbit_of_face(q_source, active_rows).walls
+    for alpha, row, wall_rhs in q_target.walls():
+        if alpha in on:
             rows += [row, tuple(-v for v in row)]
             rhs += [wall_rhs, -wall_rhs]
     table = vertex_table(rows, rhs)

@@ -69,7 +69,7 @@ def margin_is_admissible(q):
     bad = []
     if affine_dim(verts) != q.rank:
         bad.append("pseudo-moment polytope is not full-dimensional in M")
-    walls = [(alpha,) + q.wall_functional(alpha) for alpha in sorted(q.hs.R)]
+    walls = q.walls()
     for alpha, row, rhs in walls:
         if min(dot(row, v) for v in verts) < rhs:
             bad.append(f"moment polytope leaves the dominant cone at {alpha}")

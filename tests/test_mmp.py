@@ -271,8 +271,9 @@ def test_fan_geometry_work_counts(monkeypatch):
     # deterministic work counts, next to the wall-clock bounds of the
     # acceptance suite: a variety derives its fan skeleton once, not per
     # divisor, with one adjugate per maximal cone and no cone_contains call;
-    # a Log-MMP run builds one vertex table, the family's own; a sweep of
-    # face queries computes one face lattice per chamber it hits
+    # a Log-MMP run builds one vertex table, the family's own; the run and a
+    # sweep of face queries close one face lattice per distinct vertex set,
+    # so the sweep closes only the vertex sets of its chambers not yet closed
     from horokit import horo, quadruple as qd
     counts = {}
 
@@ -285,13 +286,20 @@ def test_fan_geometry_work_counts(monkeypatch):
     monkeypatch.setattr(horo, "extreme_rays", counted("rays", horo.extreme_rays))
     monkeypatch.setattr(horo, "adjugate", counted("adjugate", horo.adjugate))
     monkeypatch.setattr(horo, "cone_contains", counted("contains", horo.cone_contains))
-    monkeypatch.setattr(mmp, "closure_masks", counted("lattices", mmp.closure_masks))
+    closed = []
+
+    def closure(masks):
+        closed.append(frozenset(masks))
+        return ph.closure_masks(masks)
+
+    monkeypatch.setattr(mmp, "closure_masks", closure)
     tables = counted("tables", ph.vertex_table)
     for module in (ph, mmp, qd):
         monkeypatch.setattr(module, "vertex_table", tables)
 
     def work():
-        counts.update(rays=0, adjugate=0, contains=0, lattices=0, tables=0)
+        counts.update(rays=0, adjugate=0, contains=0, tables=0)
+        closed.clear()
         _, X = x1(*README_SPEC)
         built = dict(counts)
         trace = canonical_run(X)
@@ -304,16 +312,19 @@ def test_fan_geometry_work_counts(monkeypatch):
         again = {k: counts[k] - run[k] for k in ("rays", "adjugate", "contains")}
         fam = trace.family
         table = fam._vertices()
-        signs, before = set(), counts["lattices"]
+        signs, vertex_sets, before = set(), set(), set(closed)
         for lo, hi, _ in trace.intervals:
-            for j in range(1, 21):
-                eps = lo + (hi - lo) * F(2 * j - 1, 41)
+            # the interval's lower end, a root of a slack, then generic points
+            for eps in [lo] + [lo + (hi - lo) * F(2 * j - 1, 41) for j in range(1, 21)]:
                 fam.signature_masks_at(eps)
                 signs.add(tuple((u * eps.denominator + v * eps.numerator > 0) -
                                 (u * eps.denominator + v * eps.numerator < 0)
                                 for e in table for u, v in zip(e.U, e.V)))
-        sweep = counts["lattices"] - before
-        assert sweep == len(signs)
+                vertex_sets.add(frozenset(ph.feasible_at(table, ph.slack_signs(table, eps))))
+        assert len(closed) == len(set(closed))
+        sweep = closed[len(before):]
+        assert set(sweep) == vertex_sets - before
+        sweep = (len(signs), len(vertex_sets), len(sweep), len(closed))
         maximal = sum(len(r) == X.rank for r in X.cone_rays())
         return built, run, again, maximal, len(trace.intervals), sweep, run_tables
 
@@ -322,7 +333,9 @@ def test_fan_geometry_work_counts(monkeypatch):
     assert built["rays"] > 0 and run["rays"] == built["rays"], first
     assert run["adjugate"] == maximal == 3 and run["contains"] == built["contains"], first
     assert again == {"rays": 0, "adjugate": 0, "contains": 0}, first
-    assert (intervals, sweep) == (3, 3), first
+    # 5 chambers swept over 5 vertex sets, of which the run closed 4 already;
+    # 6 distinct vertex sets closed in all
+    assert (intervals, sweep) == (3, (5, 5, 1, 6)), first
     assert run_tables == 1, first
     assert work() == first
 

@@ -2,6 +2,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,8 +292,8 @@ def test_boundedness_and_face_dimensions_match_definitions(S):
 
 @st.composite
 def _table_input(draw):
-    n = draw(st.integers(0, 4))
-    entry = st.integers(-3, 3)
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3)
     vec = st.tuples(*[entry] * n)
     rows = draw(st.lists(vec, min_size=0, max_size=7))
     for _ in range(draw(st.integers(0, 2))):
@@ -313,10 +314,18 @@ def test_vertex_table_matches_per_subset_reference(case):
     A, B, C = case
     m = len(A)
     n = len(A[0]) if m else 0
-    scaled, cs = int_rows([tuple(a) + (b,) for a, b in zip(A, B)],
-                          [0] * m if C is None else C)
+    scaled = []
+    for row in zip(A, B, [0] * m if C is None else C):
+        # each row [A_r | B_r | C_r] times the lcm of its denominators, over
+        # the gcd of the products: primitive integers
+        row = [F(x) for x in row[0] + row[1:]]
+        L = lcm(*[x.denominator for x in row])
+        ints = [int(x * L) for x in row]
+        g = gcd(*ints) or 1
+        scaled.append(tuple(v // g for v in ints))
     a = [r[:n] for r in scaled]
     bs = [r[n] for r in scaled]
+    cs = [r[n + 1] for r in scaled]
     want = []
     for sub in combinations(range(m), n):
         det = det_int([a[i] for i in sub])
@@ -330,6 +339,19 @@ def test_vertex_table_matches_per_subset_reference(case):
         V = tuple(sum(x * y for x, y in zip(a[r], Q)) - den * cs[r] for r in range(m))
         want.append((ph.mask_of(sub), den, P, Q, U, V, sign))
     assert [tuple(e) for e in ph.vertex_table(A, B, C)] == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=4),
+                min_size=1, max_size=6),
+       st.sampled_from((1, 2, 3, -1, -2, F(1, 2), F(-2, 3), 0)))
+def test_int_rows_equals_primitive(row, k):
+    # mixed int and Fraction entries, with the row rescaled by k (negative
+    # or zero too) and a zero row beside it: each is scaled to the primitive
+    # vector on its ray, the right-hand side last
+    rows = [tuple(row), tuple(k * v for v in row), (0,) * len(row)]
+    ints, rhs = int_rows([r[:-1] for r in rows], [r[-1] for r in rows])
+    assert [a + (b,) for a, b in zip(ints, rhs)] == [linalg.primitive(r) for r in rows]
 
 
 # Row redundancy and strict feasibility read off the system's own vertex

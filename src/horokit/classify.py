@@ -12,7 +12,7 @@ Family one is the projectivized sum of weight modules w_{alpha_i} +
 
 from itertools import combinations
 
-from .errors import SpecInvariantViolated
+from .errors import NotRestrictedForm, SpecInvariantViolated
 from .horo import ColoredCone, ColoredFan, HomSpaceData, HoroVariety, sigma
 from .record import Record
 from .rootdata import (GroupFactor, GroupProduct, Root, TORUS, TRIVIAL,
@@ -41,7 +41,7 @@ class X1Spec(Record):
             G.check_root(r)
         if len(set(alphas)) != len(alphas) or beta in alphas:
             raise SpecInvariantViolated("alphas must be distinct and differ from beta")
-        if len(a) != n + 1 or a[0] != 0 or any(a[i] > a[i + 1] for i in range(n)) \
+        if len(a) != n + 1 or a and a[0] != 0 or any(a[i] > a[i + 1] for i in range(n)) \
                 or any(v < 0 for v in a):
             raise SpecInvariantViolated("a must be nondecreasing with a_0 = 0")
         if n < 1 or n + 1 < t:
@@ -229,6 +229,16 @@ def _cover_fix(factor, beta_index):
     return None
 
 
+def _first_bad_factor(G, roots):
+    """For sub-cases (b)/(c): the first factor of a root that is neither
+    torus/trivial nor of type A with the root its first one, or None."""
+    for r in roots:
+        f = G.factors[r.factor]
+        if f.family not in (TORUS, TRIVIAL) and (f.family, r.index) != ("A", 1):
+            return f
+    return None
+
+
 def check_rc1(spec):
     """Restricted-condition tag 'a'/'b'/'c' for a family-one spec."""
     G, n, t = spec.G, spec.n, len(spec.G.factors) - 1
@@ -259,13 +269,9 @@ def check_rc1(spec):
     outer = [r for r in spec.alphas if r.factor != 0]
     if len(outer) != t or [r.factor for r in outer] != list(range(1, t + 1)):
         return RCFail("outer factors must carry exactly one root each, in order")
-    for r in outer:
-        f = G.factors[r.factor]
-        if f.family in (TORUS, TRIVIAL):
-            continue
-        if f.family == "A" and r.index == 1:
-            continue
-        return RCFail(f"outer factor {f} must be type A with its first root "
+    bad = _first_bad_factor(G, outer)
+    if bad is not None:
+        return RCFail(f"outer factor {bad} must be type A with its first root "
                       "(or a torus/trivial factor)")
     return "c" if G.is_trivial_root(spec.alphas[n]) else "b"
 
@@ -292,12 +298,22 @@ def check_rc2(spec):
         return "a"
     if t != n or [x.factor for x in spec.alphas[:n]] != list(range(n)):
         return RCFail("need one root per factor 0..t-1, in order")
-    for x in spec.alphas[:n]:
-        f = G.factors[x.factor]
-        if f.family in (TORUS, TRIVIAL):
-            continue
-        if f.family == "A" and x.index == 1:
-            continue
-        return RCFail(f"factor {f} must be type A with its first root "
+    bad = _first_bad_factor(G, spec.alphas[:n])
+    if bad is not None:
+        return RCFail(f"factor {bad} must be type A with its first root "
                       "(or a torus/trivial factor)")
     return "c" if G.is_trivial_root(spec.alphas[r]) else "b"
+
+
+def check_rc(spec):
+    """Restricted-condition tag 'a'/'b'/'c' of a spec of either family, or
+    the RCFail of the first condition it breaks."""
+    return check_rc1(spec) if isinstance(spec, X1Spec) else check_rc2(spec)
+
+
+def require_rc(spec):
+    """`check_rc`, raising NotRestrictedForm on an RCFail."""
+    rc = check_rc(spec)
+    if isinstance(rc, RCFail):
+        raise NotRestrictedForm(rc.reason)
+    return rc

@@ -212,8 +212,7 @@ def cmd_mmp(args):
     K = divisor.anticanonical(X)
     Delta = (-1 * (Dlast if args.delta == "dn1" else D0)) + K
     trace = mmp.run_log_mmp(X, D0 + Dlast, Delta)
-    rc = classify.check_rc1(spec) if isinstance(spec, classify.X1Spec) \
-        else classify.check_rc2(spec)
+    rc = classify.check_rc(spec)
     doc = {
         "inputs": spec_to_doc(spec) | {"delta": args.delta},
         "picard_rank": 2,

@@ -48,7 +48,8 @@ class HomSpaceData(Record):
             for gamma in self.G.nontrivial_roots():
                 if gamma not in self.R and coroot_pairing(self.G, gamma, m) != 0:
                     raise ValueError(
-                        f"basis weight {m} is not a character of P (pairs with {gamma})")
+                        f"basis weight ({', '.join(map(str, m))}) is not a character "
+                        f"of P (pairs with {gamma})")
 
     @property
     def rank(self):
@@ -602,6 +603,20 @@ def _subset_cone_map(X, rays):
     return keys == expected
 
 
+def _chain_coefficients(gens, target):
+    """(a, (g_0, g_1, ..., g_r)) for each g_0 in gens such that target =
+    sum a_k g_k over the other generators with nonnegative integers a_k,
+    the g_k sorted by (a_k, g_k)."""
+    n = len(target)
+    for j, g0 in enumerate(gens):
+        rest = [g for k, g in enumerate(gens) if k != j]
+        coeffs = solve([[g[i] for g in rest] for i in range(n)], list(target))
+        if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
+            continue
+        order = sorted(range(len(rest)), key=lambda k: (coeffs[k], rest[k]))
+        yield tuple(int(coeffs[k]) for k in order), (g0,) + tuple(rest[k] for k in order)
+
+
 def case_detect(X):
     """Match the fan of a smooth complete rank-two X against the three shapes."""
     n = X.rank
@@ -620,43 +635,22 @@ def case_detect(X):
             return OtherShape("edges do not sum to zero")
         if not _subset_cone_map(X, edges):
             return OtherShape("cone set is not the projective-space pattern")
-        sb = X.image(beta)
-        best = None
-        for j, e0 in enumerate(edges):
-            rest = [e for k, e in enumerate(edges) if k != j]
-            coeffs = solve([[r[i] for r in rest] for i in range(n)], list(sb))
-            if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
-                continue
-            order = sorted(range(len(rest)), key=lambda k: (coeffs[k], rest[k]))
-            a = tuple(int(coeffs[k]) for k in order)
-            cand = (a, (e0,) + tuple(rest[k] for k in order))
-            if best is None or cand < best:
-                best = cand
+        best = min(_chain_coefficients(edges, X.image(beta)), default=None)
         if best is None:
             return OtherShape("beta image not in any coordinate cone")
         a, basis = best
         return Case1Shape(basis, a, beta)
 
     if not outside and len(edges) == n + 2:
-        best = None
+        cands = []
         for rsize in range(2, n + 1):
             for U in combinations(edges, rsize):
                 if not is_zero([sum(u[i] for u in U) for i in range(n)]):
                     continue
                 V = tuple(e for e in edges if e not in U)
                 sv = [sum(v[i] for v in V) for i in range(n)]
-                for j, u0 in enumerate(U):
-                    rest = [u for k, u in enumerate(U) if k != j]
-                    coeffs = solve([[u[i] for u in rest] for i in range(n)], sv)
-                    if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
-                        continue
-                    order = sorted(range(len(rest)), key=lambda k: (coeffs[k], rest[k]))
-                    a = tuple(int(coeffs[k]) for k in order)
-                    r = len(rest)
-                    s = len(V) - 1
-                    cand = (r, a, (u0,) + tuple(rest[k] for k in order), V)
-                    if best is None or cand < best:
-                        best = cand
+                cands += [(rsize - 1, a, u, V) for a, u in _chain_coefficients(U, sv)]
+        best = min(cands, default=None)
         if best is None:
             return OtherShape("no zero-sum split of the edges")
         r, a, u, V = best

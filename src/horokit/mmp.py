@@ -42,10 +42,10 @@ from math import lcm
 from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
                      NotRestrictedForm, PreconditionViolated, UnboundedPolyhedron)
-from .linalg import frac, rank
-from .polyhedra import (InequalitySystem, _is_bounded, closure_masks, face_of,
-                        feasible_at, has_interior, row_is_redundant, rows_of,
-                        slack_signs, vertex_table)
+from .linalg import frac
+from .polyhedra import (InequalitySystem, _is_bounded, closure_masks, face_dim,
+                        face_of, feasible_at, has_interior, row_is_redundant,
+                        rows_of, slack_signs, vertex_table)
 from .quadruple import AdmissibleQuadruple, face_orbit, vertex_walls, wall_rows
 from .record import Record
 
@@ -90,10 +90,10 @@ def _per_chamber(method):
     same everywhere in a chamber.
     """
     @wraps(method)
-    def cached(self, eps, *args, **kwargs):
-        key = (method.__name__, self.chamber(eps), args, tuple(sorted(kwargs.items())))
+    def cached(self, eps):
+        key = (method.__name__, self.chamber(eps))
         if key not in self._chambers:
-            self._chambers[key] = method(self, eps, *args, **kwargs)
+            self._chambers[key] = method(self, eps)
         return self._chambers[key]
     return cached
 
@@ -205,10 +205,9 @@ class MMPFamily:
                                          self._kept_rows(eps)))
 
     @_per_chamber
-    def signatures_at(self, eps, prune=True):
+    def signatures_at(self, eps):
         """Canonical face-signature set at eps (pruned of redundant rows)."""
-        masks = self._face_masks(eps) if prune else self.signature_masks_at(eps)
-        return frozenset([rows_of(sig) for sig in masks])
+        return frozenset([rows_of(sig) for sig in self._face_masks(eps)])
 
     @_per_chamber
     def signature_masks_at(self, eps):
@@ -357,9 +356,8 @@ def general_fiber(fam, eps_below, eps_max):
     src_walls, tgt_walls = (vertex_walls(wall_rows(X.hs, fam.v_at(eps), X.image), found, eps)
                             for found, eps in ((src, eps_below), (tgt, eps_max)))
 
-    def orbit(walls, sig):
-        # the affine hull of the face is {A_S x = B_S + eps C_S}, S = sig
-        return face_orbit(X.hs, walls, sig, fam.n - rank([fam.A[r] for r in rows_of(sig)]))
+    def orbit(found, walls, sig):
+        return face_orbit(X.hs, walls, sig, face_dim(fam.A, found, sig))
 
     records = []
     for image in sorted(fam._closure(tgt), key=lambda sig: sorted(rows_of(sig))):
@@ -369,7 +367,7 @@ def general_fiber(fam, eps_below, eps_max):
         best = min(pre, key=lambda sig: (sig.bit_count(), sorted(rows_of(sig))))
         if any(sig & best != best for sig in pre):
             raise NoMaximalPreimage("no unique biggest source orbit")
-        s, t = orbit(src_walls, best), orbit(tgt_walls, image)
+        s, t = orbit(src, src_walls, best), orbit(tgt, tgt_walls, image)
         num = den = None
         if s.rank == t.rank:
             num, den = t.r_set, s.r_set
@@ -482,12 +480,10 @@ class TraceSkeleton(Record):
 
 def predict_trace_case1(spec):
     """Closed-form event list for a restricted family-one spec."""
-    from .classify import X1Spec, check_rc1, RCFail
+    from .classify import X1Spec, require_rc
     if not isinstance(spec, X1Spec):
         raise NotRestrictedForm("expected a family-one spec")
-    rc = check_rc1(spec)
-    if isinstance(rc, RCFail):
-        raise NotRestrictedForm(rc.reason)
+    require_rc(spec)
     a, n = spec.a, spec.n
     if a[n] == 0:
         return TraceSkeleton(((Fraction(1), FIBRATION),), Fraction(1))
@@ -511,12 +507,10 @@ def predict_trace_case1(spec):
 
 def predict_trace_case2(spec):
     """Closed-form event list for a restricted family-two spec."""
-    from .classify import X2Spec, check_rc2, RCFail
+    from .classify import X2Spec, require_rc
     if not isinstance(spec, X2Spec):
         raise NotRestrictedForm("expected a family-two spec")
-    rc = check_rc2(spec)
-    if isinstance(rc, RCFail):
-        raise NotRestrictedForm(rc.reason)
+    require_rc(spec)
     a, r = spec.a, spec.r
     eps_max = Fraction(1 + a[r])
     alpha_r_trivial = spec.G.is_trivial_root(spec.alphas[r])

@@ -6,14 +6,14 @@ first-program fibration of a restricted spec.
 Specs, their builders and the restricted conditions are in `classify`.
 """
 
-from .classify import (RCFail, X1Spec, X2Spec, _cover_fix, check_rc1,
-                       check_rc2)
+from .classify import RCFail, X1Spec, X2Spec, _cover_fix, check_rc, require_rc
 from .errors import NotRestrictedForm, NotSmoothInput, RewriteDepthExceeded
 from .record import Record
 from .rootdata import (SL, GroupFactor, GroupProduct, Root, TORUS, TRIVIAL,
                        TRIVIAL_FACTOR, flag_dimension, is_smooth_quadruple,
                        levi_components, smooth_triple_class, simple_factor,
-                       symmetry_group, NOT_SMOOTH, SMOOTH_TWO_ORBIT)
+                       symmetry_group, triple_case, NOT_SMOOTH, SMOOTH_TWO_ORBIT,
+                       TWO_ORBIT_CASES)
 
 
 def _factor_dim(f):
@@ -352,7 +352,6 @@ def _case1_tail(f):
 
 def _rule_tail_x2(spec):
     """Convert away tails that are split or smooth homogeneous."""
-    from .rootdata import triple_case
     entries, tail_factor, tail = _unpack_x2(spec)
     n = spec.n
     an, an1 = spec.alphas[n], spec.alphas[n + 1]
@@ -363,7 +362,7 @@ def _rule_tail_x2(spec):
     case = triple_case(tail_factor.family, tail_factor.rank, tail[0], tail[1])
     if case is None:
         raise NotSmoothInput("the tail pair is not smooth")
-    if case in (3, 4, 5, 7, 8):
+    if case in TWO_ORBIT_CASES:
         return None
     if case == 6 and tail_factor.rank == 4 and {tail[0], tail[1]} != {3, 4}:
         # triality of the rank-four binary type: move the pair to (3, 4)
@@ -376,7 +375,9 @@ X2_RULES = (_rule_product_x2, _rule_merge_x2, _rule_type_c_x2, _rule_tail_x2)
 
 
 def normalize(raw, x1_rules=X1_RULES, x2_rules=X2_RULES, _depth=0):
-    """Rewrite a raw spec to its normal form.
+    """Rewrite a raw spec to its normal form: the first rule of its family
+    that applies, until none does; a family-two rule may hand over to the
+    family-one rules.
 
     Terminates: every rule strictly decreases (number of factors, n) or the
     count of non-canonical labels.  The rule order is configurable so the
@@ -386,39 +387,28 @@ def normalize(raw, x1_rules=X1_RULES, x2_rules=X2_RULES, _depth=0):
         raise RewriteDepthExceeded("rewrite depth exceeded")
     if isinstance(raw, X2Spec):
         _smoothness_gate_x2(raw)
-        spec = raw
-        while True:
-            for rule in x2_rules:
-                new = rule(spec)
-                if new is not None:
-                    break
-            else:
-                rc = check_rc2(spec)
-                if isinstance(rc, RCFail):
-                    raise NotSmoothInput(f"no rule applies but: {rc.reason}")
-                return NormalForm("x2", spec=spec, rc=rc)
-            if isinstance(new, NormalForm):
-                return new
-            if isinstance(new, X1Spec):
-                return normalize(new, x1_rules, x2_rules, _depth + 1)
-            spec = new
-    if isinstance(raw, X1Spec):
+        kind, rules = "x2", x2_rules
+    elif isinstance(raw, X1Spec):
         _smoothness_gate_x1(raw)
-        spec = raw
-        while True:
-            for rule in x1_rules:
-                new = rule(spec)
-                if new is not None:
-                    break
-            else:
-                rc = check_rc1(spec)
-                if isinstance(rc, RCFail):
-                    raise NotSmoothInput(f"no rule applies but: {rc.reason}")
-                return NormalForm("x1", spec=spec, rc=rc)
-            if isinstance(new, NormalForm):
-                return new
-            spec = new
-    raise TypeError("normalize expects an X1Spec or X2Spec")
+        kind, rules = "x1", x1_rules
+    else:
+        raise TypeError("normalize expects an X1Spec or X2Spec")
+    spec = raw
+    while True:
+        for rule in rules:
+            new = rule(spec)
+            if new is not None:
+                break
+        else:
+            rc = check_rc(spec)
+            if isinstance(rc, RCFail):
+                raise NotSmoothInput(f"no rule applies but: {rc.reason}")
+            return NormalForm(kind, spec=spec, rc=rc)
+        if isinstance(new, NormalForm):
+            return new
+        if type(new) is not type(spec):
+            return normalize(new, x1_rules, x2_rules, _depth + 1)
+        spec = new
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +422,6 @@ def _value_groups(a):
         if a[i] != a[i - 1]:
             starts.append(i)
     return starts
-
-
-def _require_restricted(spec):
-    if isinstance(spec, X1Spec):
-        rc = check_rc1(spec)
-    else:
-        rc = check_rc2(spec)
-    if isinstance(rc, RCFail):
-        raise NotRestrictedForm(rc.reason)
-    return rc
 
 
 def _pq_dim(G, numerator, denominator):
@@ -465,7 +445,7 @@ class ExceptionalLocus(Record):
 def exceptional_loci(spec):
     """The nested loci E_0 c ... c E_k = X of the second program, family one;
     family two uses the analogous chain indexed by the u-side."""
-    _require_restricted(spec)
+    require_rc(spec)
     G = spec.G
     if isinstance(spec, X1Spec):
         n = spec.n
@@ -556,7 +536,7 @@ class FiberRow(Record):
 
 def fiber_dimension_table(spec):
     """Fiber data of the restricted contractions, family by family."""
-    _require_restricted(spec)
+    require_rc(spec)
     G = spec.G
     if isinstance(spec, X2Spec):
         rows = []
@@ -637,7 +617,7 @@ class PsiFibration(Record):
 
 def psi_fibration(spec):
     """The first program: one fibration; target and general-fiber class."""
-    _require_restricted(spec)
+    require_rc(spec)
     G = spec.G
     if isinstance(spec, X1Spec):
         target = f"G/P({spec.beta})"

@@ -385,15 +385,20 @@ def vertices(system):
     return sorted(e.point() for e in vertex_masks(system)[2].values())
 
 
+def face_dim(A, found, rows=0):
+    """Dimension of the smallest face of a polytope with rows A on which the
+    rows of a mask are tight, from its vertices {active row mask: entry};
+    None if there is none.  It is n - rank(A_S), S the meet of the masks
+    of its vertices (`face_of`), as {A_S x = b_S} is its affine hull."""
+    meet = face_of(found, rows)
+    return None if meet is None else len(A[0]) - rank([A[r] for r in rows_of(meet)])
+
+
 def polytope_dim(system):
-    """Affine dimension of a polytope, -1 when it is empty: n - rank(A_S)
-    for the rows S tight on all of it, the meet of the vertex masks, as
-    {A_S x = b_S} is its affine hull.  Raises UnboundedPolyhedron on an
-    unbounded region."""
-    found = vertex_masks(system)[2]
-    if not found:
-        return -1
-    return system.dim - rank([system.A[r] for r in rows_of(reduce(and_, found))])
+    """Affine dimension of a polytope (`face_dim`), -1 when it is empty.
+    Raises UnboundedPolyhedron on an unbounded region."""
+    d = face_dim(system.A, vertex_masks(system)[2])
+    return -1 if d is None else d
 
 
 def row_is_redundant(table, signs, r, keep, is_bounded=_is_bounded):

@@ -9,20 +9,21 @@ pairing vanishes; on Q this reads sigma(alpha) . chi = -<alpha^vee, v0>.
 
 Every question here is read off the vertex table of `polyhedra`, so Q~ is
 taken to be a polytope: admissibility from the one table of Q~ with its
-walls, orbit data from the vertices on a face, and transport from the
-table of the target with the imposed equalities.  Which walls hold at a
-vertex is an integer test on its table entry.
+walls, orbit data from the vertex masks of a face (its dimension is rank -
+rank(rows tight on all of its vertices)), and transport from the table of
+the target with the imposed equalities.  No point is built: the walls a
+vertex satisfies or lies on are read off its table entry.
 """
 
 from functools import partial, reduce
-from operator import and_, mul
+from operator import and_, mul, or_
 
 from .errors import EmptyFace, IncompatibleQuadruples
 from .horo import sigma
-from .linalg import affine_dim, dot, frac, rank
-from .polyhedra import (InequalitySystem, _is_bounded, face_of, feasible_at,
-                        graded_faces, has_interior, is_feasible, mask_of,
-                        rows_of, slack_signs, vertex_masks, vertex_table)
+from .linalg import frac, rank
+from .polyhedra import (InequalitySystem, _is_bounded, face_dim, face_of,
+                        feasible_at, graded_faces, has_interior, is_feasible,
+                        mask_of, rows_of, slack_signs, vertex_masks, vertex_table)
 from .record import Record
 from .rootdata import coroot_pairing, flag_dimension
 
@@ -76,7 +77,9 @@ def is_admissible(q):
 
     The signs of its slacks are computed once (`polyhedra.slack_signs`).
     Restricted to the rows of Q~ (`keep`), the table gives the vertices of
-    Q~ and its boundedness (`polyhedra._is_bounded`).  Q~ misses the
+    Q~, its boundedness (`polyhedra._is_bounded`), its dimension
+    (`polyhedra.face_dim`) and the walls' slack signs at its vertices,
+    which are all >= 0 iff Q~ lies in the dominant cone.  Q~ misses the
     interior of the dominant cone iff the polytope Q~ cut by the walls'
     half-spaces has no point strict on every wall: iff the whole table has
     no feasible vertex, or some wall row is tight on all of them
@@ -96,12 +99,13 @@ def is_admissible(q):
         return False, ["polytope is empty"]
     if not _is_bounded(table, signs, keep):
         return False, ["pseudo-moment polytope is unbounded"]
-    verts = [e.point() for e in found.values()]
     bad = []
-    if affine_dim(verts) != q.rank:
+    if face_dim(q.qtilde.A, found) != q.rank:
         bad.append("pseudo-moment polytope is not full-dimensional in M")
-    for alpha, row, rhs in walls:
-        if min(dot(row, v) for v in verts) < rhs:
+    below = reduce(or_, [neg for e, (neg, _) in zip(table, signs)
+                         if not (e.basis & ~keep or neg & keep)]) >> m
+    for k, (alpha, _, _) in enumerate(walls):
+        if below >> k & 1:
             bad.append(f"moment polytope leaves the dominant cone at {alpha}")
             break
     if not has_interior(feasible_at(table, signs), ~keep):
@@ -131,15 +135,16 @@ def face_orbit(hs, walls, sig, dim):
 
 
 def orbit_of_face(q, active_rows):
-    """Orbit data of the face on which the given rows are tight."""
+    """Orbit data of the face on which the given rows are tight, from the
+    vertex masks of Q~ (`polyhedra.face_dim`, `face_orbit`)."""
     rows = frozenset(active_rows)
     sig = mask_of(rows)
     table = vertex_table(q.qtilde.A, q.qtilde.b)
     found = feasible_at(table, slack_signs(table))
-    members = [e.point() for mask, e in found.items() if mask & sig == sig]
-    if not members:
+    dim = face_dim(q.qtilde.A, found, sig)
+    if dim is None:
         raise EmptyFace(f"rows {sorted(rows)} cut out the empty set")
-    return face_orbit(q.hs, vertex_walls(q.walls(), found), sig, affine_dim(members))
+    return face_orbit(q.hs, vertex_walls(q.walls(), found), sig, dim)
 
 
 def orbit_poset(q):

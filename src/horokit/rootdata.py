@@ -538,17 +538,19 @@ def subdiagram_components(G, roots):
 
 
 # ---------------------------------------------------------------------------
-# Smoothness predicates
+# Smoothness predicates: Pasquier's colour rule (Bull. SMF 136, 2008) is
+# `_colors_smooth`, which both `is_smooth_pair` and clause (2) of
+# `is_smooth_quadruple` read.
 
 
 NOT_SMOOTH = "NotSmooth"
 SMOOTH_HOMOGENEOUS = "SmoothHomogeneousType"
 SMOOTH_TWO_ORBIT = "SmoothTwoOrbitType"
 
-_TWO_ORBIT_CASES = {3, 4, 5, 7, 8}
+TWO_ORBIT_CASES = {3, 4, 5, 7, 8}
 
 
-def _triple_case(family, rank, i, j):
+def triple_case(family, rank, i, j):
     """Case number (1..8) of the smooth-triple table, or None."""
     i, j = min(i, j), max(i, j)
     m = rank
@@ -579,10 +581,6 @@ def _triple_case(family, rank, i, j):
     return None
 
 
-def triple_case(family, rank, i, j):
-    return _triple_case(family, rank, i, j)
-
-
 def smooth_triple_class(K, gamma, delta):
     """Classify the triple (K, gamma, delta); symmetric in the two roots."""
     if not K.is_simple:
@@ -592,32 +590,32 @@ def smooth_triple_class(K, gamma, delta):
             raise ValueError(f"index {idx} out of range for {K}")
     if gamma == delta:
         raise ValueError("the two roots must be distinct")
-    case = _triple_case(K.family, K.rank, gamma, delta)
+    case = triple_case(K.family, K.rank, gamma, delta)
     if case is None:
         return NOT_SMOOTH
-    return SMOOTH_TWO_ORBIT if case in _TWO_ORBIT_CASES else SMOOTH_HOMOGENEOUS
+    return SMOOTH_TWO_ORBIT if case in TWO_ORBIT_CASES else SMOOTH_HOMOGENEOUS
 
 
-def _component_triple_smooth(comp, u, v):
-    iu, iv = comp.internal_index(u), comp.internal_index(v)
-    return _triple_case(comp.family, comp.rank, iu, iv) is not None
+def _colors_smooth(comps, colors):
+    """Each component holds at most one of the colors, and that one is a
+    short extremal root of a type A or C component."""
+    for comp in comps:
+        mine = [r for r in comp.members if r in colors]
+        if len(mine) > 1:
+            return False
+        if mine and (comp.family not in ("A", "C") or
+                     not comp.is_short_extremal(mine[0])):
+            return False
+    return True
 
 
 def is_smooth_pair(G, R1, R2):
-    """Smooth-pair test on two disjoint sets of non-trivial simple roots."""
+    """Smooth-pair test on two disjoint sets of non-trivial simple roots:
+    the colour rule for the colors R2 on the subdiagram of R1 and R2."""
     R1, R2 = set(R1), set(R2)
     if R1 & R2:
         raise ValueError("the two root sets must be disjoint")
-    comps = subdiagram_components(G, R1 | R2)
-    for comp in comps:
-        inr2 = [r for r in comp.members if r in R2]
-        if not inr2:
-            continue
-        if len(inr2) > 1:
-            return False
-        if comp.family not in ("A", "C") or not comp.is_short_extremal(inr2[0]):
-            return False
-    return True
+    return _colors_smooth(subdiagram_components(G, R1 | R2), R2)
 
 
 def levi_components(family, rank, beta):
@@ -629,7 +627,9 @@ def is_smooth_quadruple(K, beta, R, n):
     """Smooth-quadruple test on a simple factor K.
 
     beta is a Bourbaki index of K, R a set of indices distinct from beta,
-    n the rank parameter; clause (1) is only available at n = 1.
+    n the rank parameter; clause (1), a pair of the triple table in one
+    Levi component, is only available at n = 1, and clause (2) is the
+    colour rule for R on the Levi of beta.
     """
     if not K.is_simple:
         raise ValueError("quadruples live on simple factors")
@@ -646,17 +646,11 @@ def is_smooth_quadruple(K, beta, R, n):
 
     if n == 1 and len(R) == 2:
         u, v = sorted(R)
-        if loc[u] is loc[v] and _component_triple_smooth(loc[u], u, v):
+        c = loc[u]
+        if c is loc[v] and triple_case(c.family, c.rank, c.internal_index(u),
+                                       c.internal_index(v)) is not None:
             return True
-    for comp in comps:
-        mine = [r for r in comp.members if r in R]
-        if not mine:
-            continue
-        if len(mine) > 1:
-            return False
-        if comp.family not in ("A", "C") or not comp.is_short_extremal(mine[0]):
-            return False
-    return True
+    return _colors_smooth(comps, R)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +716,8 @@ def enumerate_smooth_quadruples(family, rank, n_flag):
 def parse_factor(token):
     """One factor token: 'A5', 'B2', 'C*', '1', 'SL4', 'Sp6', 'Spin7'."""
     t = token.strip()
+    if not t:
+        raise ValueError("cannot parse group factor ''")
     if t == TORUS:
         return TORUS_FACTOR, {}
     if t in (TRIVIAL, "{1}"):

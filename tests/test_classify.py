@@ -83,6 +83,11 @@ def test_check_rc1_examples():
                       Root(0, 1), (Root(1, 0), Root(2, 0)), (0, 1))
     rc = check_rc1(spec_cov)
     assert isinstance(rc, RCFail) and "cover" in rc.reason
+    # an outer type-A factor on a root other than its first
+    rc = check_rc1(X1Spec(GroupProduct((SL(6), TRIVIAL_FACTOR, SL(4))),
+                          Root(0, 3), (Root(1, 0), Root(2, 2)), (0, 1)))
+    assert rc == RCFail("outer factor A3 must be type A with its first root "
+                        "(or a torus/trivial factor)")
 
 
 def test_check_rc2_examples():
@@ -99,6 +104,10 @@ def test_check_rc2_examples():
     spec_b = X2Spec(GroupProduct((TRIVIAL_FACTOR, SL(2), Spin(7))),
                     (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))
     assert check_rc2(spec_b) == "b"
+    rc = check_rc2(X2Spec(GroupProduct((TRIVIAL_FACTOR, SL(3), Spin(7))),
+                          (Root(0, 0), Root(1, 2), Root(2, 1), Root(2, 3)), (0, 2)))
+    assert rc == RCFail("factor A2 must be type A with its first root "
+                        "(or a torus/trivial factor)")
 
 
 def test_normalize_fixtures():

@@ -67,6 +67,22 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         f.write_bytes(data)
         assert cli.main(["check", str(f)]) == 2, data[:10]
         assert capsys.readouterr().err.startswith("input error: ")
+    # an x1 spec with no roots and an empty group factor (IndexError text
+    # once), and a basis weight that is not a character of P (Fraction
+    # reprs once)
+    fan_a2 = {"group": "A2", "kind": "fan", "m_basis": [[1, 0], [0, 1]],
+              "colors": [], "cones": [{"generators": [], "colors": []}]}
+    for i, (doc, message) in enumerate((
+            (W3 | {"alphas": [], "a": []},
+             "need n >= 1 and enough roots to cover every outer factor"),
+            (W3 | {"group": []}, "cannot parse group factor ''"),
+            (W3 | {"group": "A5 x "}, "cannot parse group factor ''"),
+            (fan_a2, "basis weight (1, 0) is not a character of P "
+                     "(pairs with (0,a1))"))):
+        f = tmp_path / f"invalid{i}.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["check", str(f)]) == 2, doc
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_cmd_mmp_trace_and_svg(tmp_path):

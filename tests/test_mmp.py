@@ -223,7 +223,8 @@ def test_faces_match_engine_on_shapes():
         for j in (1, 7, 19):
             eps = lo + (hi - lo) * F(j, 20)
             pred = mmp.faces_case1(2, (0, 1, 2), eps)
-            assert fam.signatures_at(eps, prune=False) == frozenset(pred)
+            assert frozenset(ph.rows_of(s) for s in fam.signature_masks_at(eps)) == \
+                frozenset(pred)
 
 
 def test_parametric_path_matches_static_path():
@@ -236,7 +237,7 @@ def test_parametric_path_matches_static_path():
         # breakpoints and eps_max are among the samples
         for eps in (tr.eps_max * F(j, 6) for j in range(7)):
             S = fam.system_at(eps)
-            assert fam.signatures_at(eps, prune=False) == \
+            assert frozenset(ph.rows_of(s) for s in fam.signature_masks_at(eps)) == \
                 frozenset(f.active_rows for f in ph.face_lattice(S))
             found = ph.feasible_at(fam._vertices(), fam.signs_at(eps))
             assert sorted((e.point(eps), ph.rows_of(mask)) for mask, e in found.items()) \

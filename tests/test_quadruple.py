@@ -2,7 +2,8 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
-from horokit import classify as cl, divisor as dv, quadruple as qd
+import gridgen
+from horokit import classify as cl, divisor as dv, mmp, quadruple as qd
 from horokit.errors import EmptyFace, IncompatibleQuadruples
 from horokit.horo import HomSpaceData
 from horokit.polyhedra import InequalitySystem, gstable_tag
@@ -91,6 +92,25 @@ def test_orbit_dim_monotone():
         for s2, (d2, o2) in by_sig.items():
             if s1 > s2:  # s1 cuts a smaller face
                 assert o1 < o2
+    # the face dimensions, read off ranks of tight rows, against the affine
+    # dimension of each face's vertex points, on the family quadruples at
+    # every interval midpoint of 30 specs of the acceptance grid
+    from horokit.linalg import affine_dim
+    from horokit.polyhedra import basic_points
+    faces = 0
+    for spec in (gridgen.case1_grid() + gridgen.case2_grid())[::23]:
+        X = cl.build_x1(spec) if isinstance(spec, cl.X1Spec) else cl.build_x2(spec)
+        D0, Dlast = X.boundary_divisor(0), X.boundary_divisor(len(X.divisors) - 1)
+        trace = mmp.run_log_mmp(X, D0 + Dlast, (-1 * Dlast) + dv.anticanonical(X))
+        for eps in [(lo + hi) / 2 for lo, hi, _ in trace.intervals if hi is not None]:
+            q = trace.family.quadruple_at(eps)
+            points = basic_points(q.qtilde.A, q.qtilde.b)
+            for f, info in qd.orbit_poset(q):
+                assert qd.orbit_of_face(q, f.active_rows) == info
+                assert info.rank == f.dim == affine_dim(
+                    [p for p, active in points if f.active_rows <= active])
+                faces += 1
+    assert faces == 3200
 
 
 def test_map_face_example():

@@ -100,6 +100,25 @@ def test_is_smooth_pair():
     assert rd.is_smooth_pair(B4, {Root(0, 1), Root(0, 2), Root(0, 4)}, set())
     # two marked vertices in one block
     assert not rd.is_smooth_pair(A3, {Root(0, 2)}, {Root(0, 1), Root(0, 3)})
+    # clause (2) of the quadruple test is the pair test on the Levi of beta:
+    # every simple type up to rank 8 and every (beta, R), 8,849 cases
+    from itertools import combinations
+    bounds = {"A": 1, "B": 3, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
+    cases = 0
+    for fam, lo in bounds.items():
+        for m in range(lo, {"F": 4, "G": 2}.get(fam, 8) + 1):
+            K = GroupFactor(fam, m)
+            G = GroupProduct((K,))
+            for beta in range(1, m + 1):
+                rest = [i for i in range(1, m + 1) if i != beta]
+                for size in range(len(rest) + 1):
+                    for R in combinations(rest, size):
+                        levi = {Root(0, i) for i in rest if i not in R}
+                        assert rd.is_smooth_quadruple(K, beta, set(R), 2) == \
+                            rd.is_smooth_pair(G, levi, {Root(0, i) for i in R}), \
+                            (K, beta, R)
+                        cases += 1
+    assert cases == 8849
 
 
 def test_smooth_triple_class_table():

@@ -265,7 +265,7 @@ def cmd_appendix(args):
                 print(f"{fam}{m} n{'=1' if n_flag == 1 else '>=2'}: "
                       f"{len(entries)} classes")
                 for side, b, R, reason in \
-                        reference_tables.diff_against_reference(fam, m, n_flag):
+                        reference_tables.diff_against_reference(fam, m, n_flag, entries):
                     tag = "ok (known deviation)" if reason else "MISMATCH"
                     print(f"  {tag}: {side} beta=a{b} R={{{','.join('a%d' % i for i in sorted(R))}}}"
                           + (f"  [{reason}]" if reason else ""))

@@ -89,6 +89,26 @@ def _numerators(D, descs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def check_q_cartier(X, D):
+    """The coefficients of D on the descriptors of `X.skeleton()` as integer
+    numerators over one denominator, (numerators, denominator), once D is
+    found Q-Cartier: on each maximal cone the support points outside its
+    basis agree with the form through its basis.  Raises NotQCartier where
+    `pl_function` does, and builds none of its pieces."""
+    descs, cones, _ = X.skeleton()
+    d, den = _numerators(D, descs)
+    for key, t in cones.items():
+        if t is None:
+            raise NotQCartier("maximal cone with underdetermined support "
+                              "(unexpected for complete fans)")
+        b = [d[i] for i in t.basis]
+        if any(sum(map(mul, mu, b)) != t.det * d[j] for j, mu in t.checks):
+            raise NotQCartier(f"no linear form matches the coefficients on {key}")
+    if not cones and X.rank:
+        raise NotQCartier("fan has no full-dimensional cone")
+    return d, den
+
+
 def pl_function(X, D):
     """h_D, cone by cone; raises NotQCartier on inconsistency.
 
@@ -104,70 +124,73 @@ def pl_function(X, D):
     needs.  On any other fan each full-dimensional cone still gets the form
     that agrees with D on its support points (with a greedy basis for a cone
     of more than n rays), and NotQCartier when there is none or more than
-    one.
+    one (`check_q_cartier`).
     """
-    descs, cones, rays = X.skeleton()
-    d, den = _numerators(D, descs)
+    d, den = check_q_cartier(X, D)
+    _, cones, rays = X.skeleton()
     pieces = {}
     for key, t in cones.items():
-        if t is None:
-            raise NotQCartier("maximal cone with underdetermined support "
-                              "(unexpected for complete fans)")
         b = [d[i] for i in t.basis]
-        if any(sum(map(mul, mu, b)) != t.det * d[j] for j, mu in t.checks):
-            raise NotQCartier(f"no linear form matches the coefficients on {key}")
         q = t.det * den
         pieces[key] = tuple([Fraction(sum(map(mul, row, b)), q) for row in t.adj])
-    if not pieces:
-        if X.rank == 0:
-            pieces[tuple()] = tuple()
-        else:
-            raise NotQCartier("fan has no full-dimensional cone")
+    if not pieces:   # rank zero, as check_q_cartier passed
+        pieces[tuple()] = tuple()
     ray_values = {r: Fraction(d[i], den * c) for r, (i, c) in rays.items()}
     cartier = D.is_integral() and all(
         all(v.denominator == 1 for v in form) for form in pieces.values())
     return PLFunction(pieces, cartier, ray_values)
 
 
-def ample_status(X, D, pl=None):
+def ample_status(X, D, checked=False):
     """Ample / globally generated / neither, via convexity of h_D across
     the walls of X and at the colors off the fan (`X.relations()`): h_D is
-    convex iff no relation is negative, strictly iff all are positive.  pl,
-    h_D when the caller has it, spares the Q-Cartier check.
+    convex iff no relation is negative, strictly iff all are positive.
+    checked, true (h_D, say) when the caller has already found D Q-Cartier,
+    spares that check (`check_q_cartier`).
 
     Exact under the precondition of `X.complete()` (a validated,
     non-overlapping fan with simplicial maximal cones) where it holds; raises
     NotComplete where it fails, after NotQCartier when D is not Q-Cartier.
     """
-    if pl is None:
-        pl_function(X, D)  # Q-Cartier gate
+    if checked:
+        d, _ = _numerators(D, X.skeleton()[0])
+    else:
+        d, _ = check_q_cartier(X, D)
     walls, colors = X.relations()
-    d, _ = _numerators(D, X.skeleton()[0])
     values = [sum(k * d[i] for i, k in terms) for terms, _ in walls + colors]
     if any(v < 0 for v in values):
         return NEITHER
     return AMPLE if all(v > 0 for v in values) else GG_NOT_AMPLE
 
 
-def moment_polytopes(X, D, pl=None):
-    """(pseudo-moment system, v0); the moment polytope is v0 + the system.
+def moment_polytopes(X, D, checked=False):
+    """(pseudo-moment system, v0); the moment polytope is v0 + the system,
+    v0 = sum of c_a w_a over the colors a of D, a tuple of Fractions.
 
     Rows follow X.divisors: the G-stable ray or sigma(color) vector with
-    right-hand side the negated coefficient.  pl, h_D when the caller has
-    it, spares the Q-Cartier check.
+    right-hand side the negated coefficient.  checked, true (h_D, say) when
+    the caller has already found D Q-Cartier, spares that check.
     """
     from .polyhedra import InequalitySystem, color_tag, gstable_tag  # not for `check`
-    if pl is None:
-        pl_function(X, D)  # Q-Cartier gate
+    if not checked:
+        check_q_cartier(X, D)
     rows, rhs, tags = [], [], []
     for desc in X.divisors:
         rows.append(X.row_vector(desc))
         rhs.append(-D.coeff(desc))
         tags.append(gstable_tag(desc[1]) if desc[0] == "x" else color_tag(desc[1]))
-    v0 = X.G.zero_weight()
+    return InequalitySystem(tuple(rows), tuple(rhs), tuple(tags)), color_weight(X.G, D)
+
+
+def color_weight(G, D):
+    """sum of c_a w_a over the colors a of D (coefficients c_a), the w_a the
+    integer fundamental weights of G, as a tuple of Fractions."""
+    v = [Fraction(0)] * G.weight_dim
     for a, c in D.colors.items():
-        v0 = tuple(x + c * y for x, y in zip(v0, X.G.fundamental_weight(a)))
-    return InequalitySystem(tuple(rows), tuple(rhs), tuple(tags)), v0
+        for i, x in enumerate(G.fundamental_weight(a)):
+            if x:
+                v[i] += c * x
+    return tuple(v)
 
 
 def section_weights(X, D):
@@ -189,7 +212,15 @@ def section_weights(X, D):
 
 def anticanonical(X):
     """-K_X: coefficient 1 on every G-stable edge, <alpha^vee, 2 rho_P> on
-    the color D_alpha; trips AssertionBZeta if any color coefficient < 2."""
+    the color D_alpha; trips AssertionBZeta if any color coefficient < 2.
+    Derived once per variety, and kept with its other per-variety data."""
+    key = ("anticanonical",)
+    if key not in X._caches:
+        X._caches[key] = _anticanonical(X)
+    return X._caches[key]
+
+
+def _anticanonical(X):
     g = {ray: Fraction(1) for ray in X.gstable_rays}
     c = {}
     for a in sorted(X.hs.R):

@@ -16,17 +16,34 @@ from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import rootdata
 from .errors import NotAColor, NotComplete, NotLocallyFactorial, UnsupportedFan
 from .linalg import (adjugate, det_int, echelon, int_rank, is_zero, primitive, rank,
                      solve)
 from .record import Record, set_field
-from .rootdata import GroupProduct, Root, coroot_pairing, flag_dimension
+from .rootdata import GroupProduct, Root, flag_dimension
+
+
+def _integral(v):
+    """v as an int; ValueError when it is not an integer."""
+    if isinstance(v, int):
+        return int(v)
+    q = Fraction(v)
+    if q.denominator != 1:
+        raise ValueError(f"M basis weight entry {q} is not an integer")
+    return q.numerator
 
 
 class HomSpaceData(Record):
-    """The pair (P, M): colors R and an integer basis of M in X(P)."""
+    """The pair (P, M): colors R and an integer basis of M in X(P).
+
+    M_basis is stored as int tuples, one coordinate per fundamental weight
+    and per C* factor; an entry that is not an integer (a Fraction or a
+    string such as "1/2") raises ValueError, as do a basis that is not
+    linearly independent and a weight that pairs with a simple root of P.
+    """
 
     G: GroupProduct
     R: frozenset
@@ -37,16 +54,18 @@ class HomSpaceData(Record):
         if any(len(m) != self.G.weight_dim for m in self.M_basis):
             raise ValueError(f"M basis weights need {self.G.weight_dim} entries")
         object.__setattr__(self, "M_basis",
-                           tuple(tuple(Fraction(v) for v in m) for m in self.M_basis))
+                           tuple(tuple([_integral(v) for v in m]) for m in self.M_basis))
         for alpha in self.R:
             self.G.check_root(alpha)
             if self.G.is_trivial_root(alpha):
                 raise ValueError(f"{alpha}: colors are non-trivial simple roots")
-        if rank(self.M_basis) != len(self.M_basis):
+        if int_rank(self.M_basis) != len(self.M_basis):
             raise ValueError("M basis is not linearly independent")
+        levi = [(r, self.G.coroot_index(r)) for r in self.G.nontrivial_roots()
+                if r not in self.R]
         for m in self.M_basis:
-            for gamma in self.G.nontrivial_roots():
-                if gamma not in self.R and coroot_pairing(self.G, gamma, m) != 0:
+            for gamma, i in levi:
+                if m[i] != 0:
                     raise ValueError(
                         f"basis weight ({', '.join(map(str, m))}) is not a character "
                         f"of P (pairs with {gamma})")
@@ -67,7 +86,8 @@ def sigma(hs, alpha):
     """sigma(alpha) = alpha^vee restricted to M, as a vector in N."""
     if alpha not in hs.R:
         raise NotAColor(str(alpha))
-    return tuple(int(coroot_pairing(hs.G, alpha, m)) for m in hs.M_basis)
+    i = hs.G.coroot_index(alpha)
+    return tuple([m[i] for m in hs.M_basis])
 
 
 class ColoredCone(Record):
@@ -75,7 +95,7 @@ class ColoredCone(Record):
     colors: frozenset = frozenset()
 
     def __init__(self, generators, colors=frozenset()):   # hot: see horokit.record
-        set_field(self, "generators", tuple(tuple(int(v) for v in g) for g in generators))
+        set_field(self, "generators", tuple([tuple(map(int, g)) for g in generators]))
         set_field(self, "colors", frozenset(colors))
 
     @property
@@ -96,7 +116,7 @@ def extreme_rays(generators):
 
     A generator's primitive vector is its quotient by the gcd of its
     entries.  Linearly independent rays are all extreme, with no membership
-    test.
+    test, and so is a single one, with no rank test either.
     """
     prims = []
     for g in generators:
@@ -105,7 +125,7 @@ def extreme_rays(generators):
             p = tuple([x // k for x in g])
             if p not in prims:
                 prims.append(p)
-    if int_rank(prims) == len(prims):
+    if len(prims) <= 1 or int_rank(prims) == len(prims):
         return tuple(sorted(prims))
     return tuple(sorted(g for i, g in enumerate(prims)
                         if not cone_contains(prims[:i] + prims[i + 1:], g)))
@@ -324,7 +344,7 @@ basis (p = sum mu_i s_i / det)."""
 def _coords(adj, p):
     """det times the coordinates of p in the basis whose adjugate is adj:
     adj^T p."""
-    return tuple([sum([row[i] * x for row, x in zip(adj, p)]) for i in range(len(adj))])
+    return tuple([sum(map(mul, col, p)) for col in zip(*adj)])
 
 
 def _once(method):
@@ -419,11 +439,12 @@ class HoroVariety:
         n = self.rank
         pins = [("x", r) for r in self.gstable_rays] + \
             [("c", a) for a in sorted(self.colors_used())]
-        points = [tuple(int(v) for v in self.row_vector(d)) for d in pins]
+        points = [d[1] if d[0] == "x" else self.image(d[1]) for d in pins]
         descs = tuple(pins) + tuple(("c", a) for a in sorted(self.hs.R - self.colors_used()))
         on_ray = {}
         for i, p in enumerate(points):
-            on_ray.setdefault(primitive(p), (i, gcd(*p)))
+            k = gcd(*p)
+            on_ray.setdefault(tuple([x // k for x in p]) if k else p, (i, k))
         cones, rays = {}, {}
         for key in self.cone_rays():
             if len(key) < n or key in cones:
@@ -433,9 +454,10 @@ class HoroVariety:
             if len(key) == n:
                 basis = [on_ray[r][0] for r in key]
                 det, adj = adjugate([points[i] for i in basis])
+                cols = [] if adj is None else [[det * a for a in col] for col in zip(*adj)]
                 inside = [] if adj is None else [
                     i for i, p in enumerate(points)
-                    if all(det * mu >= 0 for mu in _coords(adj, p))]
+                    if all(sum(map(mul, col, p)) >= 0 for col in cols)]
             else:
                 inside = [i for i, p in enumerate(points) if cone_contains(key, p)]
                 basis = []

@@ -30,16 +30,18 @@ found by integer comparison: the roots are scaled once to one common
 denominator L, and eps = p/q falls at or between them as p L / q does.
 The boundedness of a row subset's region is asked only where that region
 has a vertex, and there it does not depend on eps (the recession cone does
-not), so it is kept once per row subset.
+not), so it is kept once per row subset.  A row mask becomes a set of rows,
+and its sort key, once per family (`MMPFamily.rows`).
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
-from .divisor import AMPLE, ample_status, anticanonical, moment_polytopes, pl_function
+from .divisor import (AMPLE, ample_status, anticanonical, check_q_cartier, color_weight,
+                      moment_polytopes)
 from .errors import (DegenerateFamily, NoMaximalPreimage, NotAmple,
                      NotRestrictedForm, PreconditionViolated, UnboundedPolyhedron)
 from .linalg import frac
@@ -117,6 +119,7 @@ class MMPFamily:
         self._chambers = {}
         self._bounded = {}      # row mask -> is its region bounded
         self._lattices = {}     # vertex masks -> their face signatures
+        self._row_sets = {}     # row mask -> (its rows, their sorted tuple)
 
     # -- parametric vertex preprocessing -----------------------------------
 
@@ -129,11 +132,26 @@ class MMPFamily:
 
     def roots(self):
         """The sorted distinct roots -U/V of the affine row slacks U + eps V
-        of the family's vertex table."""
+        of the family's vertex table, each taken once as a reduced integer
+        pair before it becomes a Fraction."""
         if self._roots is None:
-            self._roots = sorted({Fraction(-u, v) for e in self._vertices()
-                                  for u, v in zip(e.U, e.V) if v})
+            pairs = set()
+            for e in self._vertices():
+                for u, v in zip(e.U, e.V):
+                    if v:
+                        g = gcd(u, v) if v > 0 else -gcd(u, v)
+                        pairs.add((-u // g, v // g))
+            self._roots = sorted([Fraction(p, q) for p, q in pairs])
         return self._roots
+
+    def rows(self, mask):
+        """(the rows of a mask as a frozenset, their sorted tuple), built
+        once per family: the tuple is the order in which signatures are
+        listed."""
+        if mask not in self._row_sets:
+            rows = rows_of(mask)
+            self._row_sets[mask] = rows, tuple(sorted(rows))
+        return self._row_sets[mask]
 
     def chamber(self, eps):
         """The chamber of eps, on which every slack of the vertex table keeps
@@ -195,7 +213,7 @@ class MMPFamily:
         """Redundant G-stable rows at eps, dropped greedily by index, and the
         rows kept."""
         keep = self._kept_rows(eps)
-        return rows_of(((1 << self.m) - 1) & ~keep), rows_of(keep)
+        return self.rows(((1 << self.m) - 1) & ~keep)[0], self.rows(keep)[0]
 
     @_per_chamber
     def _face_masks(self, eps):
@@ -207,7 +225,7 @@ class MMPFamily:
     @_per_chamber
     def signatures_at(self, eps):
         """Canonical face-signature set at eps (pruned of redundant rows)."""
-        return frozenset([rows_of(sig) for sig in self._face_masks(eps)])
+        return frozenset([self.rows(sig)[0] for sig in self._face_masks(eps)])
 
     @_per_chamber
     def signature_masks_at(self, eps):
@@ -242,18 +260,13 @@ class MMPFamily:
 
 def build_family(X, D, Delta):
     """Family of (X, D + eps(K_X + Delta)); rows follow X.divisors."""
-    h = pl_function(X, D)
-    if ample_status(X, D, h) != AMPLE:
+    if ample_status(X, D) != AMPLE:   # after the Q-Cartier gate for D
         raise NotAmple("the reference divisor must be ample")
     KD = Delta - anticanonical(X)
-    pl_function(X, KD)  # Q-Cartier gate for K_X + Delta
-    system, v0 = moment_polytopes(X, D, h)
-    B = tuple(-D.coeff(desc) for desc in X.divisors)
+    check_q_cartier(X, KD)
+    system, v0 = moment_polytopes(X, D, checked=True)
     C = tuple(-KD.coeff(desc) for desc in X.divisors)
-    v1 = X.G.zero_weight()
-    for a, c in KD.colors.items():
-        v1 = tuple(x + c * y for x, y in zip(v1, X.G.fundamental_weight(a)))
-    return MMPFamily(X, system.A, B, C, system.tags, v0, v1)
+    return MMPFamily(X, system.A, system.b, C, system.tags, v0, color_weight(X.G, KD))
 
 
 def critical_epsilons(fam):
@@ -350,21 +363,22 @@ def general_fiber(fam, eps_below, eps_max):
     for sig in fam._closure(src):
         image = face_of(tgt, sig)
         if image is None:
-            raise NoMaximalPreimage(f"face {sorted(rows_of(sig))} has empty image")
+            raise NoMaximalPreimage(f"face {list(fam.rows(sig)[1])} has empty image")
         preimages.setdefault(image, []).append(sig)
     X = fam.X
     src_walls, tgt_walls = (vertex_walls(wall_rows(X.hs, fam.v_at(eps), X.image), found, eps)
                             for found, eps in ((src, eps_below), (tgt, eps_max)))
+    flag_dims = {}
 
     def orbit(found, walls, sig):
-        return face_orbit(X.hs, walls, sig, face_dim(fam.A, found, sig))
+        return face_orbit(X.hs, walls, sig, face_dim(fam.A, found, sig), flag_dims)
 
     records = []
-    for image in sorted(fam._closure(tgt), key=lambda sig: sorted(rows_of(sig))):
+    for image in sorted(fam._closure(tgt), key=lambda sig: fam.rows(sig)[1]):
         pre = preimages.get(image, [])
         if not pre:
             raise NoMaximalPreimage("fibration misses a target orbit")
-        best = min(pre, key=lambda sig: (sig.bit_count(), sorted(rows_of(sig))))
+        best = min(pre, key=lambda sig: (sig.bit_count(), fam.rows(sig)[1]))
         if any(sig & best != best for sig in pre):
             raise NoMaximalPreimage("no unique biggest source orbit")
         s, t = orbit(src, src_walls, best), orbit(tgt, tgt_walls, image)
@@ -372,7 +386,7 @@ def general_fiber(fam, eps_below, eps_max):
         if s.rank == t.rank:
             num, den = t.r_set, s.r_set
         records.append(FiberRecord(s.dim - t.dim, s.rank - t.rank,
-                                   rows_of(best), rows_of(image), num, den))
+                                   fam.rows(best)[0], fam.rows(image)[0], num, den))
     return records
 
 
@@ -409,8 +423,9 @@ def _face_map_rows(fam, eps_src, eps_tgt):
     out = []
     for sig in fam._closure(feasible_at(table, fam.signs_at(eps_src))):
         tgt = face_of(tgt_masks, sig)
-        out.append((rows_of(sig), None if tgt is None else rows_of(tgt)))
-    return tuple(sorted(out, key=lambda pair: sorted(pair[0])))
+        out.append((fam.rows(sig), None if tgt is None else fam.rows(tgt)[0]))
+    out.sort(key=lambda pair: pair[0][1])
+    return tuple([(src[0], tgt) for src, tgt in out])
 
 
 # ---------------------------------------------------------------------------

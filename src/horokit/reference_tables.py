@@ -239,16 +239,18 @@ def _known_deviation(family, m, beta, R, n_flag, missing_side):
     return None
 
 
-def diff_against_reference(family, m, n_flag):
-    """[(side, beta, R, reason-or-None)]: every individual discrepancy.
+def diff_against_reference(family, m, n_flag, entries):
+    """[(side, beta, R, reason-or-None)]: every individual discrepancy
+    between the enumeration `entries` of (family, m, n_flag), as
+    `rootdata.enumerate_smooth_quadruples` gives it, and the reference.
 
     side "extra" means the enumerator produced an entry missing from the
     reference; side "missing" means the reference lists an entry the
     enumerator rejects.  reason is the whitelist justification, or None for
     an unexplained (i.e. failing) discrepancy.
     """
-    from .rootdata import canonical_beta_R, enumerate_smooth_quadruples
-    got = set(enumerate_smooth_quadruples(family, m, n_flag))
+    from .rootdata import canonical_beta_R
+    got = set(entries)
     ref = {canonical_beta_R(family, m, b, R) for b, R in reference_set(family, m, n_flag)}
     ref = {(b, frozenset(R)) for b, R in ref}
     out = []

@@ -178,17 +178,28 @@ class GroupProduct(Record):
     def nontrivial_roots(self):
         return [r for r in self.simple_roots() if r.index != 0]
 
+    def coroot_index(self, r):
+        """The coordinate of the weight basis at which a non-trivial simple
+        root r pairs: <r^vee, chi> is chi at that index."""
+        self.check_root(r)
+        if not self.factors[r.factor].is_simple:
+            raise TrivialRootHasNoCoroot(str(r))
+        return self.offset(r.factor) + r.index - 1
+
     def zero_weight(self):
-        return tuple(Fraction(0) for _ in range(self.weight_dim))
+        return (0,) * self.weight_dim
 
     def fundamental_weight(self, r):
+        """The fundamental weight of r as an integer tuple: 1 at its
+        coordinate (a C* factor's one coordinate), 0 elsewhere; the zero
+        weight for the trivial root of a {1} factor."""
         self.check_root(r)
-        w = [Fraction(0)] * self.weight_dim
+        w = [0] * self.weight_dim
         f = self.factors[r.factor]
         if f.is_simple:
-            w[self.offset(r.factor) + r.index - 1] = Fraction(1)
+            w[self.offset(r.factor) + r.index - 1] = 1
         elif f.family == TORUS:
-            w[self.offset(r.factor)] = Fraction(1)
+            w[self.offset(r.factor)] = 1
         return tuple(w)
 
     def root_as_weight(self, r):
@@ -198,10 +209,9 @@ class GroupProduct(Record):
         if not f.is_simple:
             return self.fundamental_weight(r)  # C*: alpha = w_alpha; {1}: 0
         col = [row[r.index - 1] for row in cartan_matrix(f.family, f.rank)]
-        w = [Fraction(0)] * self.weight_dim
+        w = [0] * self.weight_dim
         base = self.offset(r.factor)
-        for i, v in enumerate(col):
-            w[base + i] = Fraction(v)
+        w[base:base + len(col)] = col
         return tuple(w)
 
     def __repr__(self):
@@ -209,11 +219,10 @@ class GroupProduct(Record):
 
 
 def coroot_pairing(G, alpha, chi):
-    """<alpha^vee, chi> for a non-trivial simple root alpha."""
-    G.check_root(alpha)
-    if G.is_trivial_root(alpha):
-        raise TrivialRootHasNoCoroot(str(alpha))
-    return Fraction(chi[G.offset(alpha.factor) + alpha.index - 1])
+    """<alpha^vee, chi> for a non-trivial simple root alpha: the entry of chi
+    at alpha's fundamental-weight coordinate, itself, so an integer weight
+    pairs to an int and a rational one to a Fraction."""
+    return chi[G.coroot_index(alpha)]
 
 
 def is_dominant(G, chi):
@@ -348,8 +357,7 @@ def color_coefficient(G, R, alpha):
     if not f.is_simple:
         raise TrivialRootHasNoCoroot(str(alpha))
     cm = cartan_matrix(f.family, f.rank)
-    levi = {r.index - 1 for r in G.nontrivial_roots()
-            if r.factor == alpha.factor and r not in R}
+    levi = {i for i in range(f.rank) if Root(alpha.factor, i + 1) not in R}
     i = alpha.index - 1
     acc = 0
     for coeffs in positive_roots(f.family, f.rank):
@@ -745,15 +753,15 @@ def parse_group(text):
 def parse_root(text, relabels=None):
     """Roots like '(0,a3)' or '(1,triv)'."""
     t = text.strip()
-    if not (t.startswith("(") and t.endswith(")")):
+    parts = [s.strip() for s in t[1:-1].split(",")]
+    if not (t.startswith("(") and t.endswith(")") and len(parts) == 2
+            and parts[0].isdecimal()
+            and (parts[1] == "triv" or parts[1][:1] == "a" and parts[1][1:].isdecimal())):
         raise ValueError(f"cannot parse root {text!r}")
-    fac_s, idx_s = (s.strip() for s in t[1:-1].split(","))
-    fac = int(fac_s)
-    if idx_s == "triv":
+    fac = int(parts[0])
+    if parts[1] == "triv":
         return Root(fac, 0)
-    if not idx_s.startswith("a"):
-        raise ValueError(f"cannot parse root index {idx_s!r}")
-    idx = int(idx_s[1:])
+    idx = int(parts[1][1:])
     if relabels and fac < len(relabels) and relabels[fac]:
         idx = relabels[fac].get(idx, idx)
     return Root(fac, idx)

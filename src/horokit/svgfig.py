@@ -10,7 +10,7 @@ from fractions import Fraction
 from .polyhedra import InequalitySystem, vertices
 
 
-def _panel(fam, eps, size=160, pad=18):
+def _panel(fam, eps):
     eps = Fraction(eps)
     rhs = [b + eps * c for b, c in zip(fam.B, fam.C)]
     vs = vertices(InequalitySystem(fam.A, tuple(rhs)))
@@ -28,7 +28,7 @@ def _order_polygon(pts):
     return sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
 
 
-def render_family(fam, samples, width_per_panel=180):
+def render_family(fam, samples):
     """SVG document with one panel per epsilon sample."""
     if fam.n > 2:
         raise ValueError("figures are only rendered for rank <= 2")

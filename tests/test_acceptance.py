@@ -24,7 +24,7 @@ from horokit.linalg import det_int, int_rows
 from horokit.polyhedra import InequalitySystem
 from horokit.quadruple import COLLAPSED
 from horokit.rootdata import (GroupProduct, Root, SL, Spin, TORUS_FACTOR,
-                              TRIVIAL_FACTOR, flag_dimension)
+                              TRIVIAL_FACTOR, enumerate_smooth_quadruples, flag_dimension)
 
 
 def _announce(num, label, ok, detail=""):
@@ -212,7 +212,8 @@ def test_criterion_5_appendix_regression():
     for fam, ranks in families:
         for m in ranks:
             for n_flag in (1, 2):
-                for side, b, R, reason in rt.diff_against_reference(fam, m, n_flag):
+                entries = enumerate_smooth_quadruples(fam, m, n_flag)
+                for side, b, R, reason in rt.diff_against_reference(fam, m, n_flag, entries):
                     reported += 1
                     assert reason is not None, (fam, m, n_flag, side, b, R)
     took = time.time() - t0

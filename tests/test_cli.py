@@ -68,8 +68,10 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         assert cli.main(["check", str(f)]) == 2, data[:10]
         assert capsys.readouterr().err.startswith("input error: ")
     # an x1 spec with no roots and an empty group factor (IndexError text
-    # once), and a basis weight that is not a character of P (Fraction
-    # reprs once)
+    # once), a basis weight that is not a character of P (Fraction reprs
+    # once), and root tokens with too few or too many parts, a factor that
+    # is not a number and an index with no digits (Python's own unpacking
+    # and int() messages once)
     fan_a2 = {"group": "A2", "kind": "fan", "m_basis": [[1, 0], [0, 1]],
               "colors": [], "cones": [{"generators": [], "colors": []}]}
     for i, (doc, message) in enumerate((
@@ -78,7 +80,11 @@ def test_malformed_json_exits_2(tmp_path, capsys):
             (W3 | {"group": []}, "cannot parse group factor ''"),
             (W3 | {"group": "A5 x "}, "cannot parse group factor ''"),
             (fan_a2, "basis weight (1, 0) is not a character of P "
-                     "(pairs with (0,a1))"))):
+                     "(pairs with (0,a1))"),
+            (W3 | {"beta": "(0)"}, "cannot parse root '(0)'"),
+            (W3 | {"beta": "(0,a1,2)"}, "cannot parse root '(0,a1,2)'"),
+            (W3 | {"beta": "(x,a1)"}, "cannot parse root '(x,a1)'"),
+            (W3 | {"beta": "(0,a)"}, "cannot parse root '(0,a)'"))):
         f = tmp_path / f"invalid{i}.json"
         f.write_text(json.dumps(doc))
         assert cli.main(["check", str(f)]) == 2, doc

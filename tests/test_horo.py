@@ -39,6 +39,20 @@ def test_sigma():
     assert horo.sigma(hs0, Root(0, 1)) == ()
 
 
+def test_m_basis_weights_are_integers():
+    # a non-integral weight was once kept, and sigma truncated its pairing:
+    # on A1 x C* with M basis ((1/2, 0), (0, 1)), sigma(alpha_1) read (0, 0)
+    G = GroupProduct((SL(2), TORUS_FACTOR))
+    colors = frozenset({Root(0, 1)})
+    for half in (F(1, 2), "1/2", 0.5):
+        with pytest.raises(ValueError, match="is not an integer"):
+            HomSpaceData(G, colors, ((half, 0), (0, 1)))
+    hs = HomSpaceData(G, colors, ((F(2), 0), (0, F(1))))
+    assert hs.M_basis == ((2, 0), (0, 1))
+    assert all(type(v) is int for m in hs.M_basis for v in m)
+    assert horo.sigma(hs, Root(0, 1)) == (2, 0)
+
+
 def test_validate_fan():
     X = cl.build_x1(w3_spec())
     assert horo.validate_fan(X) == []

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -339,6 +340,55 @@ def test_fan_geometry_work_counts(monkeypatch):
     assert (intervals, sweep) == (3, (5, 5, 1, 6)), first
     assert run_tables == 1, first
     assert work() == first
+
+
+def test_per_run_derivations_are_kept_per_variety_and_family(monkeypatch):
+    # deterministic work counts for what a Log-MMP run derives of its
+    # variety and family: the colour coefficients once per colour, though
+    # the run and its Delta both ask for -K_X, and the row set of a mask at
+    # most once per family, over the run and a sweep of face queries at
+    # generic points of every interval (the grid benchmark's sweep, plus the
+    # pruned queries).  A second, freshly built variety of each spec counts
+    # the same, so no memo outlives its variety or its family.
+    from horokit import rootdata
+    coefficient, colors, masks = rootdata.color_coefficient, [], []
+
+    def counted_coefficient(G, R, alpha):
+        colors.append(alpha)
+        return coefficient(G, R, alpha)
+
+    def counted_rows(mask):
+        masks.append(mask)
+        return ph.rows_of(mask)
+
+    monkeypatch.setattr(rootdata, "color_coefficient", counted_coefficient)
+    monkeypatch.setattr(mmp, "rows_of", counted_rows)
+
+    def work(spec):
+        colors.clear()
+        masks.clear()
+        X = cl.build_x1(spec) if isinstance(spec, cl.X1Spec) else cl.build_x2(spec)
+        trace = canonical_run(X)
+        fam = trace.family
+        for lo, hi, _ in trace.intervals:
+            hi = lo + 1 if hi is None else hi
+            for j in range(1, 21):
+                eps = lo + (hi - lo) * F(2 * j - 1, 41)
+                fam.signature_masks_at(eps)
+                fam.signatures_at(eps)
+                fam.pruned_rows_at(eps)
+        return X.hs.R, Counter(colors), Counter(masks)
+
+    grid = gridgen.case1_grid() + gridgen.case2_grid()
+    specs = [cl.X1Spec(*README_SPEC),
+             cl.X2Spec(GroupProduct((TRIVIAL_FACTOR, SL(2), Spin(7))),
+                       (Root(0, 0), Root(1, 1), Root(2, 1), Root(2, 3)), (0, 2))] + grid[::67]
+    for spec in specs:
+        first = work(spec)
+        R, per_color, per_mask = first
+        assert per_color == Counter(R), (spec, first)
+        assert per_mask and max(per_mask.values()) == 1, (spec, first)
+        assert work(spec) == first, spec
 
 
 def test_chamber_memo_matches_recomputation():

@@ -21,6 +21,7 @@ from operator import mul
 
 from . import rootdata
 from .errors import AssertionBZeta, NotCartier, NotQCartier
+from .horo import per_variety
 from .linalg import frac
 from .record import Record, factory
 
@@ -141,21 +142,16 @@ def pl_function(X, D):
     return PLFunction(pieces, cartier, ray_values)
 
 
-def ample_status(X, D, checked=False):
+def ample_status(X, D):
     """Ample / globally generated / neither, via convexity of h_D across
     the walls of X and at the colors off the fan (`X.relations()`): h_D is
     convex iff no relation is negative, strictly iff all are positive.
-    checked, true (h_D, say) when the caller has already found D Q-Cartier,
-    spares that check (`check_q_cartier`).
 
     Exact under the precondition of `X.complete()` (a validated,
     non-overlapping fan with simplicial maximal cones) where it holds; raises
     NotComplete where it fails, after NotQCartier when D is not Q-Cartier.
     """
-    if checked:
-        d, _ = _numerators(D, X.skeleton()[0])
-    else:
-        d, _ = check_q_cartier(X, D)
+    d, _ = check_q_cartier(X, D)
     walls, colors = X.relations()
     values = [sum(k * d[i] for i, k in terms) for terms, _ in walls + colors]
     if any(v < 0 for v in values):
@@ -168,8 +164,8 @@ def moment_polytopes(X, D, checked=False):
     v0 = sum of c_a w_a over the colors a of D, a tuple of Fractions.
 
     Rows follow X.divisors: the G-stable ray or sigma(color) vector with
-    right-hand side the negated coefficient.  checked, true (h_D, say) when
-    the caller has already found D Q-Cartier, spares that check.
+    right-hand side the negated coefficient.  checked, true when the caller
+    has already found D Q-Cartier, spares that check (`check_q_cartier`).
     """
     from .polyhedra import InequalitySystem, color_tag, gstable_tag  # not for `check`
     if not checked:
@@ -199,7 +195,7 @@ def section_weights(X, D):
     h = pl_function(X, D)
     if not h.cartier:
         raise NotCartier("section weights need a Cartier divisor")
-    system, v0 = moment_polytopes(X, D, h)
+    system, v0 = moment_polytopes(X, D, checked=True)
     out = []
     for pt in lattice_points(system):
         w = list(v0)
@@ -210,17 +206,11 @@ def section_weights(X, D):
     return sorted(out)
 
 
+@per_variety
 def anticanonical(X):
     """-K_X: coefficient 1 on every G-stable edge, <alpha^vee, 2 rho_P> on
     the color D_alpha; trips AssertionBZeta if any color coefficient < 2.
     Derived once per variety, and kept with its other per-variety data."""
-    key = ("anticanonical",)
-    if key not in X._caches:
-        X._caches[key] = _anticanonical(X)
-    return X._caches[key]
-
-
-def _anticanonical(X):
     g = {ray: Fraction(1) for ray in X.gstable_rays}
     c = {}
     for a in sorted(X.hs.R):

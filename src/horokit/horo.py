@@ -347,8 +347,9 @@ def _coords(adj, p):
     return tuple([sum(map(mul, col, p)) for col in zip(*adj)])
 
 
-def _once(method):
-    """Derive a HoroVariety method's value once per variety and argument."""
+def per_variety(method):
+    """Derive a HoroVariety method's value, or that of a function whose
+    first argument is the variety, once per variety and argument."""
     @wraps(method)
     def cached(self, *args):
         key = (method.__name__,) + args
@@ -393,31 +394,31 @@ class HoroVariety:
     def rank(self):
         return self.hs.rank
 
-    @_once
+    @per_variety
     def cone_rays(self):
         """Extreme rays of each cone, in fan order."""
         return tuple(extreme_rays(c.generators) for c in self.fan.cones)
 
-    @_once
+    @per_variety
     def walls(self):
         """The wall table (`_walls`) of the full-dimensional simplicial cones."""
         return _walls(self.rank, self.cone_rays())
 
-    @_once
+    @per_variety
     def image(self, a):
         """sigma(a), the image of the color a in N; NotAColor outside R."""
         return sigma(self.hs, a)
 
-    @_once
+    @per_variety
     def edges(self):
         """Primitive rays of all one-dimensional faces, sorted."""
         return tuple(sorted({r for rays in self.cone_rays() for r in rays}))
 
-    @_once
+    @per_variety
     def colors_used(self):
         return frozenset().union(*(c.colors for c in self.fan.cones))
 
-    @_once
+    @per_variety
     def skeleton(self):
         """(descs, cones, rays), derived once for every PL function on the fan.
 
@@ -443,8 +444,7 @@ class HoroVariety:
         descs = tuple(pins) + tuple(("c", a) for a in sorted(self.hs.R - self.colors_used()))
         on_ray = {}
         for i, p in enumerate(points):
-            k = gcd(*p)
-            on_ray.setdefault(tuple([x // k for x in p]) if k else p, (i, k))
+            on_ray.setdefault(primitive(p), (i, gcd(*p)))
         cones, rays = {}, {}
         for key in self.cone_rays():
             if len(key) < n or key in cones:
@@ -471,7 +471,7 @@ class HoroVariety:
                 tuple((i, _coords(adj, points[i])) for i in inside if i not in basis))
         return descs, cones, rays
 
-    @_once
+    @per_variety
     def relations(self):
         """(walls, colors): integer relations on the coefficients of the
         descriptors of `skeleton()` that decide the convexity of a PL
@@ -515,7 +515,7 @@ class HoroVariety:
                 colors.append(relation(t, j, p))
         return tuple(walls), tuple(colors)
 
-    @_once
+    @per_variety
     def complete(self):
         """Support equals N_Q: every wall of a full-dimensional cone lies in
         exactly two of them, on opposite sides.  Exact only for a validated
@@ -528,7 +528,7 @@ class HoroVariety:
             raise UnsupportedFan("completeness test needs a simplicial fan")
         return _closed(self.walls())
 
-    @_once
+    @per_variety
     def locally_factorial(self):
         """Every cone generated by part of a Z-basis, colors injecting into it."""
         for cone, rays in zip(self.fan.cones, self.cone_rays()):
@@ -550,7 +550,7 @@ class HoroVariety:
                 seen.add(s)
         return True
 
-    @_once
+    @per_variety
     def smooth(self):
         if not self.locally_factorial():
             return False
@@ -558,7 +558,7 @@ class HoroVariety:
         return all(not cone.colors or rootdata.is_smooth_pair(self.G, levi, cone.colors)
                    for cone in self.fan.cones)
 
-    @_once
+    @per_variety
     def picard_rank(self):
         """Edges minus rank plus colors off the fan; exact under the
         precondition of complete() (validated, non-overlapping, simplicial)."""

@@ -73,26 +73,8 @@ def rank(rows):
 
 
 def int_rank(rows):
-    """The rank of integer rows, with no scaling: fraction-free forward
-    elimination, each row below the pivot row p becoming (p_c a - a_c p) /
-    (the last pivot), an exact division (Bareiss), so no gcd is taken."""
-    m = [list(row) for row in rows]
-    r, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r]
-        pc = p[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(pc * a - f * b) // prev for a, b in zip(m[i], p)]
-        prev = pc
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """The rank of integer rows, with no scaling."""
+    return len(_echelon([list(row) for row in rows])[1])
 
 
 def solve(rows, rhs):

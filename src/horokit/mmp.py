@@ -368,10 +368,9 @@ def general_fiber(fam, eps_below, eps_max):
     X = fam.X
     src_walls, tgt_walls = (vertex_walls(wall_rows(X.hs, fam.v_at(eps), X.image), found, eps)
                             for found, eps in ((src, eps_below), (tgt, eps_max)))
-    flag_dims = {}
 
     def orbit(found, walls, sig):
-        return face_orbit(X.hs, walls, sig, face_dim(fam.A, found, sig), flag_dims)
+        return face_orbit(X.hs, walls, sig, face_dim(fam.A, found, sig))
 
     records = []
     for image in sorted(fam._closure(tgt), key=lambda sig: fam.rows(sig)[1]):

@@ -123,21 +123,15 @@ class OrbitInfo(Record):
     walls: frozenset
 
 
-def face_orbit(hs, walls, sig, dim, flag_dims=None):
+def face_orbit(hs, walls, sig, dim):
     """OrbitInfo of the face of Q~ with signature sig (a row mask) and
     dimension dim, given the walls through each vertex (`vertex_walls`):
     the walls through all of the face's vertices, the surviving colors, the
-    face dimension and the orbit dimension dim G/P' + dim.  flag_dims, a
-    dict a caller keeps over several faces of one variety, holds dim G/P'
-    per set of surviving colors, so each is computed once."""
+    face dimension and the orbit dimension dim G/P' + dim."""
     on = reduce(and_, [w for mask, w in walls.items() if mask & sig == sig])
     r_set = hs.R - on
-    if flag_dims is None:
-        flag_dims = {}
-    if r_set not in flag_dims:
-        flag_dims[r_set] = flag_dimension(
-            hs.G, [r for r in hs.G.nontrivial_roots() if r not in r_set])
-    return OrbitInfo(r_set, dim, flag_dims[r_set] + dim, on)
+    levi = {r for r in hs.G.nontrivial_roots() if r not in r_set}
+    return OrbitInfo(r_set, dim, flag_dimension(hs.G, levi) + dim, on)
 
 
 def orbit_of_face(q, active_rows):

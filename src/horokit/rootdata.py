@@ -186,9 +186,6 @@ class GroupProduct(Record):
             raise TrivialRootHasNoCoroot(str(r))
         return self.offset(r.factor) + r.index - 1
 
-    def zero_weight(self):
-        return (0,) * self.weight_dim
-
     def fundamental_weight(self, r):
         """The fundamental weight of r as an integer tuple: 1 at its
         coordinate (a C* factor's one coordinate), 0 elsewhere; the zero

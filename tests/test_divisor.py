@@ -367,7 +367,6 @@ def test_divisor_layer_matches_reference(case):
     else:
         assert (h.pieces, h.ray_values, h.cartier) == want
         assert dv.ample_status(X, D) == _reference_ample(X, D)
-        assert dv.ample_status(X, D, h) == _reference_ample(X, D)
     assert dv.class_cartier(X, D) == _reference_class_cartier(X, D)
 
 

@@ -80,7 +80,8 @@ def test_unbounded_family_is_rejected():
             (((1, 0), (0, 1), (-1, 1)), (0, 0, -1), (0, 1, 0)),
             # the strip 0 <= x <= 1 - eps, y >= 0
             (((1, 0), (0, 1), (-1, 0)), (0, 0, -1), (0, 0, 1))):
-        fam = mmp.MMPFamily(X, A, B, C, tags, X.G.zero_weight(), X.G.zero_weight())
+        zero = (F(0),) * X.G.weight_dim
+        fam = mmp.MMPFamily(X, A, B, C, tags, zero, zero)
         with pytest.raises(UnboundedPolyhedron):
             mmp.critical_epsilons(fam)
 
